@@ -30,8 +30,8 @@ double residual_jump_mm(double brake_delay_s, std::uint32_t watchdog_ticks,
     job.thresholds = thresholds;
     job.mitigation = MitigationMode::kArmed;
     job.configure = [brake_delay_s, watchdog_ticks](SimConfig& cfg) {
-      cfg.plant.brake_engage_delay = brake_delay_s;
-      cfg.plc.watchdog_timeout_ticks = watchdog_ticks;
+      cfg.engine.plant.brake_engage_delay = brake_delay_s;
+      cfg.engine.plc.watchdog_timeout_ticks = watchdog_ticks;
     };
   }
 

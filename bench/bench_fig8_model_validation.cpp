@@ -42,9 +42,9 @@ Series run_paired(SolverKind solver, std::uint64_t seed, double observer_gain_sc
   DetectionThresholds huge;
   huge.motor_vel = huge.motor_acc = huge.joint_vel = Vec3::filled(1e18);
   SimConfig cfg = make_session(p, huge, MitigationMode::kObserveOnly);
-  cfg.detection->detector.ee_jump_limit = 0.0;
-  cfg.detection->estimator.observer_position_gain *= observer_gain_scale;
-  cfg.detection->estimator.observer_velocity_gain *= observer_gain_scale;
+  cfg.engine.detection.detector.ee_jump_limit = 0.0;
+  cfg.engine.detection.estimator.observer_position_gain *= observer_gain_scale;
+  cfg.engine.detection.estimator.observer_velocity_gain *= observer_gain_scale;
 
   SurgicalSim sim(std::move(cfg));
 

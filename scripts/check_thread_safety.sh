@@ -6,16 +6,15 @@
 # a clang build with -Werror=thread-safety proves every annotated field
 # is only touched with its mutex held.  Under g++ the macros expand to
 # nothing; environments without clang++ (the reference CI image ships
-# only g++) pass with a note instead of failing, mirroring
-# scripts/check_tidy.sh.
+# only g++) print SKIPPED and exit 77, mirroring scripts/check_tidy.sh.
 #
 #   scripts/check_thread_safety.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if ! command -v clang++ >/dev/null 2>&1; then
-  echo "check_thread_safety: clang++ not installed; skipping (gate is advisory)"
-  exit 0
+  echo "check_thread_safety: SKIPPED (clang++ not installed)"
+  exit 77
 fi
 
 BUILD=build-thread-safety

@@ -129,57 +129,63 @@ std::vector<Unit> form_units(const std::vector<CampaignJob>& jobs, std::size_t l
   return units;
 }
 
-/// Execute a multi-job unit as one lockstep group.  Every per-job step
-/// mirrors CampaignRunner::execute; only the tick loop is shared.  Sims
-/// whose configure hooks made them physics-incompatible fall back to
-/// sequential scalar runs (same results, no lane sharing).
-std::vector<CampaignJobResult> execute_unit_batched(const std::vector<CampaignJob>& jobs,
-                                                    std::size_t first, std::size_t count) {
-  RG_SPAN("campaign.unit");
+/// A standard-path job's sim, built and armed: make_session → configure
+/// → sim → instrument → seeded attack → install.
+struct ArmedJob {
+  std::unique_ptr<SurgicalSim> sim;
+  AttackSpec spec;
+  AttackArtifacts artifacts;
+};
+
+ArmedJob arm(const CampaignJob& job) {
+  SimConfig cfg = make_session(job.params, job.thresholds, job.mitigation);
+  if (job.configure) job.configure(cfg);
+  ArmedJob armed{std::make_unique<SurgicalSim>(std::move(cfg)), job.attack, {}};
+  if (job.instrument) job.instrument(*armed.sim);
+  if (armed.spec.seed == 0) armed.spec.seed = job.params.seed * 131 + 17;
+  armed.artifacts = build_attack(armed.spec);
+  armed.sim->install(armed.artifacts);
+  return armed;
+}
+
+/// Execute a unit of standard-path jobs of equal duration, the first of
+/// which has submission index `first`.  A multi-job unit ticks as one
+/// lockstep group; sims whose configure hooks made them physics-
+/// incompatible fall back to sequential scalar runs (same results, no
+/// lane sharing).  Failures are thrown as IndexedFailure.
+std::vector<CampaignJobResult> execute_unit(std::span<const CampaignJob> jobs, std::size_t first) {
   const auto start = WallClock::now();
+  const std::size_t count = jobs.size();
+  // The math-drift attack models its malicious library state as globals;
+  // they are thread-local here, so re-arming them per unit makes every
+  // job independent of whatever ran earlier on this worker thread.
   reset_math_drift();
 
-  std::vector<std::unique_ptr<SurgicalSim>> sims;
-  std::vector<AttackArtifacts> artifacts;
-  std::vector<AttackSpec> specs;
-  sims.reserve(count);
-  artifacts.reserve(count);
-  specs.reserve(count);
+  std::vector<ArmedJob> armed;
+  armed.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t index = first + k;
-    const CampaignJob& job = jobs[index];
     try {
-      SimConfig cfg = make_session(job.params, job.thresholds, job.mitigation);
-      if (job.configure) job.configure(cfg);
-      auto sim = std::make_unique<SurgicalSim>(std::move(cfg));
-      if (job.instrument) job.instrument(*sim);
-
-      AttackSpec seeded = job.attack;
-      if (seeded.seed == 0) seeded.seed = job.params.seed * 131 + 17;
-      artifacts.push_back(build_attack(seeded));
-      sim->install(artifacts.back());
-      specs.push_back(seeded);
-      sims.push_back(std::move(sim));
+      armed.push_back(arm(jobs[k]));
     } catch (...) {
-      throw IndexedFailure{index, std::current_exception()};
+      throw IndexedFailure{first + k, std::current_exception()};
     }
   }
 
-  bool lockstep_ok = true;
+  bool lockstep_ok = count > 1;
   for (std::size_t k = 1; k < count; ++k) {
-    lockstep_ok = lockstep_ok && LockstepGroup::compatible(*sims[0], *sims[k]);
+    lockstep_ok = lockstep_ok && LockstepGroup::compatible(*armed[0].sim, *armed[k].sim);
   }
 
   try {
-    const double duration = jobs[first].params.duration_sec;
+    const double duration = jobs.front().params.duration_sec;
     if (lockstep_ok) {
       std::vector<SurgicalSim*> lanes;
       lanes.reserve(count);
-      for (auto& sim : sims) lanes.push_back(sim.get());
+      for (const ArmedJob& a : armed) lanes.push_back(a.sim.get());
       LockstepGroup group(std::span<SurgicalSim* const>{lanes.data(), lanes.size()});
       group.run(duration);
     } else {
-      for (auto& sim : sims) sim->run(duration);
+      for (const ArmedJob& a : armed) a.sim->run(duration);
     }
   } catch (...) {
     throw IndexedFailure{first, std::current_exception()};
@@ -191,12 +197,12 @@ std::vector<CampaignJobResult> execute_unit_batched(const std::vector<CampaignJo
   for (std::size_t k = 0; k < count; ++k) {
     CampaignJobResult& out = results[k];
     out.index = first + k;
-    out.label = jobs[first + k].label;
-    out.run.spec = specs[k];
-    out.run.outcome = sims[k]->outcome();
-    out.run.injections = artifacts[k].injections();
-    out.run.first_injection_tick = artifacts[k].first_injection_tick();
-    out.ticks = sims[k]->clock().ticks();
+    out.label = jobs[k].label;
+    out.run.spec = armed[k].spec;
+    out.run.outcome = armed[k].sim->outcome();
+    out.run.injections = armed[k].artifacts.injections();
+    out.run.first_injection_tick = armed[k].artifacts.first_injection_tick();
+    out.ticks = armed[k].sim->clock().ticks();
     // Per-job wall time is a timing-section-only statistic; attribute the
     // unit evenly (individual lanes are not separable inside one tick).
     out.wall_ms = unit_wall / static_cast<double>(count);
@@ -228,41 +234,23 @@ int CampaignRunner::workers_for(std::size_t njobs) const noexcept {
 
 CampaignJobResult CampaignRunner::execute(const CampaignJob& job, std::size_t index) {
   RG_SPAN("campaign.job");
+  if (!job.body) {
+    try {
+      return std::move(execute_unit(std::span{&job, 1}, index).front());
+    } catch (const IndexedFailure& failure) {
+      std::rethrow_exception(failure.error);
+    }
+  }
+
   const auto start = WallClock::now();
   CampaignJobResult out;
   out.index = index;
   out.label = job.label;
-
-  // The math-drift attack models its malicious library state as globals;
-  // they are thread-local here, so re-arming them per job makes every job
-  // independent of whatever ran earlier on this worker thread.
   reset_math_drift();
-
-  if (job.body) {
-    out.run = job.body();
-    // Custom bodies drive the sim themselves; account the nominal session
-    // length so campaign throughput stays meaningful.
-    out.ticks = static_cast<std::uint64_t>(job.params.duration_sec * 1000.0);
-  } else {
-    SimConfig cfg = make_session(job.params, job.thresholds, job.mitigation);
-    if (job.configure) job.configure(cfg);
-    SurgicalSim sim(std::move(cfg));
-    if (job.instrument) job.instrument(sim);
-
-    AttackSpec seeded = job.attack;
-    if (seeded.seed == 0) seeded.seed = job.params.seed * 131 + 17;
-    const AttackArtifacts artifacts = build_attack(seeded);
-    sim.install(artifacts);
-
-    sim.run(job.params.duration_sec);
-
-    out.run.spec = seeded;
-    out.run.outcome = sim.outcome();
-    out.run.injections = artifacts.injections();
-    out.run.first_injection_tick = artifacts.first_injection_tick();
-    out.ticks = sim.clock().ticks();
-  }
-
+  out.run = job.body();
+  // Custom bodies drive the sim themselves; account the nominal session
+  // length so campaign throughput stays meaningful.
+  out.ticks = static_cast<std::uint64_t>(job.params.duration_sec * 1000.0);
   reset_math_drift();
   out.wall_ms = ms_since(start);
   return out;
@@ -299,7 +287,9 @@ CampaignReport CampaignRunner::run(std::vector<CampaignJob> jobs) const {
         if (unit.count == 1) {
           unit_results.push_back(execute(jobs[unit.first], unit.first));
         } else {
-          unit_results = execute_unit_batched(jobs, unit.first, unit.count);
+          RG_SPAN("campaign.unit");
+          unit_results =
+              execute_unit(std::span{jobs}.subspan(unit.first, unit.count), unit.first);
         }
         std::lock_guard<std::mutex> lock(mutex);
         for (CampaignJobResult& result : unit_results) {

@@ -21,7 +21,7 @@ SimConfig make_session(const SessionParams& params,
   }
 
   cfg.pedal = PedalSchedule::hold_from(params.pedal_down_time);
-  cfg.plant.seed = params.seed * 31 + 7;
+  cfg.engine.plant.seed = params.seed * 31 + 7;
 
   if (thresholds) {
     PipelineConfig pipe;
@@ -29,13 +29,14 @@ SimConfig make_session(const SessionParams& params,
         params.model_calibration_error);
     pipe.estimator.solver = params.detector_solver;
     pipe.estimator.step = params.detector_step;
-    pipe.estimator.channel = cfg.channel;
+    pipe.estimator.channel = cfg.engine.channel;
     pipe.detector.thresholds = *thresholds;
     pipe.detector.fusion = params.fusion;
     pipe.detector.ee_jump_limit = params.ee_jump_limit;
     pipe.mitigation = MitigationStrategy::kEStop;
     pipe.mitigation_enabled = mitigation == MitigationMode::kArmed;
-    cfg.detection = pipe;
+    cfg.engine.detection = pipe;
+    cfg.engine.screening = true;
   }
   return cfg;
 }

@@ -1,9 +1,6 @@
 #include "sim/lockstep.hpp"
 
-#include <vector>
-
 #include "common/error.hpp"
-#include "obs/span.hpp"
 
 namespace rg {
 
@@ -24,75 +21,31 @@ LockstepGroup::LockstepGroup(std::span<SurgicalSim* const> sims)
         for (SurgicalSim* sim : sims) require(sim != nullptr, "LockstepGroup: null sim");
         const auto plants = gather_plants(sims);
         return BatchPlant(std::span<PhysicalRobot* const>{plants.data(), sims.size()});
-      }()) {
+      }()),
+      est_model_(sims[0]->config_.engine.detection.estimator.model) {
   n_ = sims.size();
   for (std::size_t l = 0; l < n_; ++l) {
     require(compatible(*sims[0], *sims[l]), "LockstepGroup: incompatible sims in one group");
     sims_[l] = sims[l];
-  }
-  if (sims_[0]->pipeline() != nullptr) {
-    est_model_.emplace(sims_[0]->pipeline()->estimator().config().model);
+    engines_[l] = &sims[l]->engine();
   }
 }
 
 bool LockstepGroup::compatible(const SurgicalSim& a, const SurgicalSim& b) {
-  if (!BatchPlant::compatible(a.config_.plant, b.config_.plant)) return false;
-  const bool a_det = a.config_.detection.has_value();
-  const bool b_det = b.config_.detection.has_value();
-  if (a_det != b_det) return false;
-  if (!a_det) return true;
-  const EstimatorConfig& ea = a.config_.detection->estimator;
-  const EstimatorConfig& eb = b.config_.detection->estimator;
+  const svc::SessionEngineConfig& ca = a.config_.engine;
+  const svc::SessionEngineConfig& cb = b.config_.engine;
+  if (!BatchPlant::compatible(ca.plant, cb.plant)) return false;
+  if (ca.screening != cb.screening) return false;
+  if (!ca.screening) return true;
+  const EstimatorConfig& ea = ca.detection.estimator;
+  const EstimatorConfig& eb = cb.detection.estimator;
   return ea.model == eb.model && ea.solver == eb.solver && ea.step == eb.step;
 }
 
 void LockstepGroup::step() {
-  // Phase A — everything upstream of the estimator's model solve.
   for (std::size_t l = 0; l < n_; ++l) sims_[l]->tick_begin();
-
-  // Phase B — one batched solve for the lanes that screened a command
-  // this tick.  Lanes that didn't (disengaged, undecodable, no feedback,
-  // no pipeline) get a discarded broadcast lane.
-  std::array<RavenDynamicsModel::State, kBatchLanes> next{};
-  std::array<bool, kBatchLanes> solving{};
-  std::size_t first_solving = kBatchLanes;
-  for (std::size_t l = 0; l < n_; ++l) {
-    solving[l] = sims_[l]->needs_solve();
-    if (solving[l] && first_solving == kBatchLanes) first_solving = l;
-  }
-  if (first_solving != kBatchLanes) {
-    RG_SPAN("estimator.solve_batch");
-    const PendingSolve& ref = sims_[first_solving]->pending_solve();
-    BatchState x;
-    BatchLanes3 currents{};
-    x.set_lane(0, ref.x0);
-    for (std::size_t i = 0; i < 3; ++i) currents[i].fill(ref.currents[i]);
-    x.broadcast(0);
-    for (std::size_t l = 0; l < n_; ++l) {
-      if (!solving[l]) continue;
-      const PendingSolve& pending = sims_[l]->pending_solve();
-      // compatible() pinned model/solver/step at construction; the
-      // per-tick pendings can only carry those same values.
-      x.set_lane(l, pending.x0);
-      for (std::size_t i = 0; i < 3; ++i) currents[i][l] = pending.currents[i];
-    }
-    est_model_->step(x, currents, ref.h, ref.solver);
-    for (std::size_t l = 0; l < n_; ++l) {
-      if (solving[l]) next[l] = x.lane(l);
-    }
-  }
-
-  // Phase C — verdicts, mitigation, board latch, PLC.
-  std::array<PlantDrive, kBatchLanes> drives{};
-  for (std::size_t l = 0; l < n_; ++l) drives[l] = sims_[l]->tick_resolve(next[l]);
-
-  // Phase D — one batched plant period over all lanes.
-  {
-    RG_SPAN("plant.step_batch");
-    plants_.step_control_period(std::span<const PlantDrive>{drives.data(), n_});
-  }
-
-  // Phase E — encoders, oracle, telemetry, clocks.
+  svc::advance_lanes(std::span<svc::SessionEngine* const>{engines_.data(), n_}, &est_model_,
+                     &plants_);
   for (std::size_t l = 0; l < n_; ++l) sims_[l]->tick_finish();
 }
 

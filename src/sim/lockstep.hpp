@@ -5,11 +5,11 @@
 //
 // Each tick interleaves the sims' phase-split step():
 //
-//   A. every sim runs tick_begin()      (console → control → screening)
-//   B. one batched estimator solve for the lanes that need one
-//   C. every sim runs tick_resolve()    (verdict, mitigation, board, PLC)
-//   D. one BatchPlant::step_control_period over all lanes
-//   E. every sim runs tick_finish()     (encoders, oracle, telemetry)
+//   A.   every sim runs tick_begin()   (console → control → screening)
+//   B–D. svc::advance_lanes over the sims' engines: one batched estimator
+//        solve, every lane's verdict/mitigation/board/PLC, one BatchPlant
+//        period — the same round a gateway shard runs
+//   E.   every sim runs tick_finish()  (encoders, oracle, telemetry)
 //
 // Because the batched kernels are bit-identical to their scalar twins and
 // every per-sim phase executes the exact statements the scalar step()
@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstddef>
-#include <optional>
 #include <span>
 
 #include "dynamics/batch_model.hpp"
@@ -53,11 +52,13 @@ class LockstepGroup {
 
  private:
   std::array<SurgicalSim*, kBatchLanes> sims_{};
+  std::array<svc::SessionEngine*, kBatchLanes> engines_{};
   std::size_t n_ = 0;
+  /// Built once: a group's lanes never change.
   BatchPlant plants_;
-  /// Batched twin of the sims' estimator model; absent when the group
-  /// runs without detection pipelines.
-  std::optional<BatchRavenModel> est_model_;
+  /// Batched twin of the sims' estimator model (unused when the group
+  /// runs without detection pipelines).
+  BatchRavenModel est_model_;
 };
 
 }  // namespace rg

@@ -8,39 +8,19 @@
 
 namespace rg {
 
-namespace {
-JointVector default_initial_joints(const ControlConfig& control) {
-  // Slightly off the homing target so the Init phase does real work.
-  JointVector q = control.limits.midpoint();
-  q[0] += 0.05;
-  q[1] -= 0.04;
-  q[2] += 0.01;
-  return q;
-}
-}  // namespace
-
 SurgicalSim::SurgicalSim(SimConfig config)
     : config_(std::move(config)),
       console_(config_.trajectory, config_.pedal, config_.orientation),
       udp_(config_.network),
-      control_(config_.control),
-      plc_(config_.plc),
-      board_(plc_, config_.channel),
-      plant_(config_.plant) {
+      engine_(config_.engine) {
   require(config_.trajectory != nullptr, "SimConfig.trajectory must be set");
-  if (config_.detection) pipeline_.emplace(*config_.detection);
-
-  plant_.set_joint_config(
-      config_.initial_joints.value_or(default_initial_joints(config_.control)));
-  board_.latch_encoders(plant_.motor_positions(), plant_.wrist_positions());
-  last_feedback_ = board_.build_feedback();
 }
 
 void SurgicalSim::install(const AttackArtifacts& artifacts) {
   if (artifacts.console_path) itp_chain_.add(artifacts.console_path);
-  if (artifacts.usb_write) write_chain_.add(artifacts.usb_write);
-  if (artifacts.usb_read) read_chain_.add(artifacts.usb_read);
-  if (artifacts.math_hooks) control_.set_math_hooks(*artifacts.math_hooks);
+  if (artifacts.usb_write) write_chain().add(artifacts.usb_write);
+  if (artifacts.usb_read) read_chain().add(artifacts.usb_read);
+  if (artifacts.math_hooks) control().set_math_hooks(*artifacts.math_hooks);
   installed_ = artifacts;  // keep the handles for injection-count events
 }
 
@@ -66,33 +46,17 @@ void SurgicalSim::dump_flight(std::string_view reason) {
   events_->emit_raw("flight_dump", clock_.ticks(), fragment);
 }
 
-void SurgicalSim::press_start() {
-  control_.press_start();
-  plc_.press_start();
-  started_ = true;
-}
-
 void SurgicalSim::step() {
   RG_SPAN("sim.tick");
-  RG_COUNT("rg.sim.ticks", 1);
   tick_begin();
-  RavenDynamicsModel::State next{};
-  if (needs_solve()) next = pipeline_->estimator().solve(scratch_.screen.pending);
-  const PlantDrive drive = tick_resolve(next);
-  {
-    RG_SPAN("plant.step");
-    plant_.step_control_period(drive.currents, drive.brakes_engaged, drive.wrist_currents);
-  }
+  svc::SessionEngine* const lane = &engine_;
+  svc::advance_lanes(std::span<svc::SessionEngine* const>{&lane, 1}, nullptr, nullptr);
   tick_finish();
 }
 
 void SurgicalSim::tick_begin() {
-  scratch_ = TickScratch{};
-  if (config_.auto_start && !started_ && clock_.ticks() >= config_.start_delay_ticks) {
-    press_start();
-  }
+  RG_COUNT("rg.sim.ticks", 1);
   const std::uint64_t tick = clock_.ticks();
-  scratch_.tick = tick;
 
   // 1. Console emits an ITP datagram over the (lossy) network.  The
   //    oracle remembers the *clean* operator command before any attack
@@ -117,100 +81,50 @@ void SurgicalSim::tick_begin() {
     // dropped by the wrapper: the software never sees the datagram
   }
 
-  // 3. USB read: feedback from the board through the read interposers.
-  FeedbackBytes feedback = board_.build_feedback();
-  if (read_chain_.process(std::span{feedback}, tick)) {
-    last_feedback_ = feedback;
-  }
-  // (a dropped read leaves the software consuming its previous buffer)
-
-  // 4. The 1 kHz control cycle.
-  scratch_.cmd = control_.tick(itp_view, std::span{last_feedback_});
-
-  // 5. USB write: the malicious wrapper mutates the buffer after every
-  //    software safety check has already passed (the TOCTOU window).
-  scratch_.deliver = write_chain_.process(std::span{scratch_.cmd}, tick);
-
-  // 6a. Detection pipeline (trusted hardware, downstream of the
-  //     attacker): feedback + screening up to the model solve.
-  if (pipeline_) {
-    pipeline_->set_engaged(!plc_.brakes_engaged());
-    MotorVector encoder_angles;
-    for (std::size_t i = 0; i < 3; ++i) encoder_angles[i] = board_.encoder_angle(i);
-    pipeline_->observe_feedback(encoder_angles);
-    if (scratch_.deliver) {
-      scratch_.screen = pipeline_->begin_process(std::span{scratch_.cmd});
-      scratch_.screened = true;
-    }
-  }
-}
-
-PlantDrive SurgicalSim::tick_resolve(const RavenDynamicsModel::State& next) {
-  const std::uint64_t tick = scratch_.tick;
-
-  // 6b. Verdict + mitigation from the solved one-step-ahead state.
-  if (scratch_.screened) {
-    scratch_.det = pipeline_->finish_process(scratch_.screen, next);
-    const DetectionPipeline::Outcome& det = scratch_.det;
-    if (detection_observer_) detection_observer_(det);
-    if (det.alarm && !outcome_.detector_alarm_tick) outcome_.detector_alarm_tick = tick;
-    if (det.blocked) {
-      scratch_.cmd = det.bytes;
-      // E-STOP mitigation: the trusted module also asserts the estop
-      // line so the PLC drops the brakes immediately.
-      if (config_.detection->mitigation == MitigationStrategy::kEStop &&
-          config_.detection->mitigation_enabled) {
-        plc_.press_estop();
-      }
-    }
-  }
-
-  // 7. Board latches whatever bytes arrived.
-  if (scratch_.deliver) {
-    (void)board_.receive_command(std::span<const std::uint8_t>{scratch_.cmd});
-  }
-
-  // 8. PLC safety processor tick (watchdog timeout check).
-  plc_.tick();
-
-  // 9 happens between tick_resolve and tick_finish: the caller executes
-  // the returned drive (scalar plant step or a BatchPlant lane).
-  return PlantDrive{board_.modeled_currents(), plc_.brakes_engaged(), board_.wrist_currents()};
+  // 3. The trusted chain up to the estimator's model solve: start
+  //    buttons, USB read, control cycle, USB write, screening.
+  engine_.tick_begin(itp_view);
 }
 
 void SurgicalSim::tick_finish() {
-  const std::uint64_t tick = scratch_.tick;
-  const bool screened_this_tick = scratch_.screened;
-  const DetectionPipeline::Outcome& det = scratch_.det;
+  const std::uint64_t tick = clock_.ticks();
+  (void)engine_.tick_finish();
+
+  static const DetectionPipeline::Outcome kUnscreened{};
+  const DetectionPipeline::Outcome* screened = engine_.detection();
+  const bool screened_this_tick = screened != nullptr;
+  const DetectionPipeline::Outcome& det = screened_this_tick ? *screened : kUnscreened;
   const bool alarm_this_tick = screened_this_tick && det.alarm;
   const double predicted_disp = det.prediction.ee_displacement;
+  if (screened_this_tick && detection_observer_) detection_observer_(det);
+  if (alarm_this_tick && !outcome_.detector_alarm_tick) outcome_.detector_alarm_tick = tick;
 
-  // 10. Encoders for the next cycle.
-  board_.latch_encoders(plant_.motor_positions(), plant_.wrist_positions());
-
-  // 11. Ground-truth oracle + bookkeeping.
+  // Ground-truth oracle + bookkeeping.
+  const ControlSoftware& control = engine_.control();
+  const Plc& plc = engine_.plc();
+  const PhysicalRobot& plant = engine_.plant();
   update_oracle();
-  if (control_.safety_fault_latched() && !outcome_.raven_fault_tick) {
+  if (control.safety_fault_latched() && !outcome_.raven_fault_tick) {
     outcome_.raven_fault_tick = tick;
   }
-  if (plc_.estop_latched() && !outcome_.plc_estop_tick) {
+  if (plc.estop_latched() && !outcome_.plc_estop_tick) {
     outcome_.plc_estop_tick = tick;
   }
-  if (plant_.cable_snapped()) outcome_.cable_snapped = true;
+  if (plant.cable_snapped()) outcome_.cable_snapped = true;
 
   if (trace_ != nullptr || flight_ != nullptr) {
     TraceSample s;
     s.tick = tick;
-    s.ee_truth = plant_.end_effector();
-    s.joint_pos = plant_.joint_positions();
-    s.joint_vel = plant_.joint_velocities();
-    s.motor_pos = plant_.motor_positions();
-    s.motor_vel = plant_.motor_velocities();
-    const CommandPacket& last = board_.last_command();
+    s.ee_truth = plant.end_effector();
+    s.joint_pos = plant.joint_positions();
+    s.joint_vel = plant.joint_velocities();
+    s.motor_pos = plant.motor_positions();
+    s.motor_vel = plant.motor_velocities();
+    const CommandPacket& last = engine_.board().last_command();
     s.dac = Vec3{static_cast<double>(last.dac[0]), static_cast<double>(last.dac[1]),
                  static_cast<double>(last.dac[2])};
-    s.state = control_.state();
-    s.brakes = plc_.brakes_engaged();
+    s.state = control.state();
+    s.brakes = plc.brakes_engaged();
     s.detector_alarm = alarm_this_tick;
     s.predicted_ee_disp = predicted_disp;
     if (trace_ != nullptr) trace_->record(s);
@@ -233,7 +147,7 @@ void SurgicalSim::tick_finish() {
 
   // --- telemetry events (edges only, so logs stay bounded) ----------------
   if (events_ != nullptr || flight_ != nullptr) {
-    const RobotState state_now = control_.state();
+    const RobotState state_now = control.state();
     if (state_now != last_state_) {
       emit_event("state_transition",
                  {{"from", to_string(last_state_)}, {"to", to_string(state_now)}});
@@ -257,10 +171,8 @@ void SurgicalSim::tick_finish() {
     last_alarm_ = alarm_this_tick;
     const bool blocked_this_tick = screened_this_tick && det.blocked;
     if (blocked_this_tick && !last_blocked_) {
-      emit_event("mitigation",
-                 {{"strategy", config_.detection
-                                   ? to_string(config_.detection->mitigation)
-                                   : std::string_view{"none"}}});
+      // Only a detection pipeline blocks, so the strategy is always set.
+      emit_event("mitigation", {{"strategy", to_string(config_.engine.detection.mitigation)}});
     }
     last_blocked_ = blocked_this_tick;
     if (outcome_.raven_fault_tick && !raven_fault_reported_) {
@@ -290,13 +202,14 @@ void SurgicalSim::update_oracle() {
   // 1-2 ms; we evaluate every window up to kOracleWindow ms so a jump the
   // PID failed to absorb is labelled an impact, while fast-but-commanded
   // surgical motion is not.
-  const Position ee = plant_.end_effector();
+  const Position ee = engine_.plant().end_effector();
   constexpr double kJumpLimit = 1.0e-3;  // 1 mm
 
   // Mirror of the operator's intent: integrate the *clean* console
   // increments while the robot is actively teleoperated; frozen when the
   // robot is halted (a halted robot cannot jump by intent).
-  const bool active = control_.state() == RobotState::kPedalDown && !plc_.estop_latched();
+  const bool active =
+      engine_.control().state() == RobotState::kPedalDown && !engine_.plc().estop_latched();
   if (clean_pedal_ && active) {
     if (!clean_desired_valid_) {
       clean_desired_ = ee;  // anchor at the tool's position on engagement

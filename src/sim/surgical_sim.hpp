@@ -1,22 +1,24 @@
 // SurgicalSim: the co-simulation harness (paper Fig. 7(a)).
 //
-// Wires the full system at 1 kHz:
+// Wires the full system at 1 kHz around one svc::SessionEngine, the
+// trusted chain the gateway runs too:
 //
-//   master console --ITP/UDP--> [itp interposers] --> control software
-//   control software --USB write--> [write interposers] --> detection
-//   pipeline (optional, trusted) --> USB board --> motors --> PLANT
-//   PLANT --> encoders --> USB board --USB read--> [read interposers]
-//   --> control software;  PLC watches Byte 0's watchdog bit throughout.
+//   master console --ITP/UDP--> [itp interposers] --> SessionEngine:
+//     control software --USB write--> [write interposers] --> detection
+//     pipeline (optional, trusted) --> USB board --> motors --> PLANT
+//     PLANT --> encoders --> USB board --USB read--> [read interposers]
+//     --> control software;  PLC watches Byte 0's watchdog bit throughout.
 //
-// Attack wrappers are installed on the interposer chains — the same hops
-// a malicious LD_PRELOAD library grabs on the real robot.  The detection
-// pipeline sits downstream of the write interposers (trusted hardware),
-// so it screens post-attack bytes.
+// The sim adds only what the gateway does not have: the console, the UDP
+// channel, the ITP interposer chain, the ground-truth impact oracle and
+// telemetry.  Attack wrappers are installed on the interposer chains —
+// the same hops a malicious LD_PRELOAD library grabs on the real robot.
+// The detection pipeline sits downstream of the write interposers
+// (trusted hardware), so it screens post-attack bytes.
 //
-// The harness also carries the ground-truth adverse-impact oracle: a
-// >1 mm end-effector displacement within 1–2 ms (the paper's safety
-// criterion, "based on feedback from expert surgeons"), plus cable-snap
-// damage latching.
+// The oracle is the paper's adverse-impact criterion: a >1 mm
+// end-effector displacement within 1–2 ms ("based on feedback from
+// expert surgeons"), plus cable-snap damage latching.
 #pragma once
 
 #include <functional>
@@ -26,39 +28,24 @@
 #include "attack/attack_engine.hpp"
 #include "attack/interposer.hpp"
 #include "common/clock.hpp"
-#include "control/control_software.hpp"
-#include "core/pipeline.hpp"
-#include "hw/plc.hpp"
-#include "hw/usb_board.hpp"
 #include "net/master_console.hpp"
 #include "net/udp_channel.hpp"
 #include "obs/events.hpp"
 #include "obs/flight_recorder.hpp"
-#include "plant/physical_robot.hpp"
 #include "sim/trace.hpp"
+#include "svc/session_engine.hpp"
 
 namespace rg {
 
 struct SimConfig {
-  ControlConfig control{};
-  PlantConfig plant{};
-  PlcConfig plc{};
-  MotorChannelConfig channel{};
+  /// The trusted chain.  By default it runs without a detection pipeline
+  /// (the stock RAVEN system; make_session() arms one when given
+  /// thresholds) and presses start after a 100-tick E-STOP lead-in.
+  svc::SessionEngineConfig engine{.screening = false, .start_delay_ticks = 100};
   UdpChannelConfig network{};
   std::shared_ptr<const Trajectory> trajectory;
   PedalSchedule pedal = PedalSchedule::hold_from(1.2);
   OrientationMotion orientation{};
-  /// Plant's initial joint configuration (defaults to just off the homing
-  /// target so homing does real work).
-  std::optional<JointVector> initial_joints{};
-  /// Optional detection pipeline (the paper's contribution); nullopt
-  /// reproduces the stock RAVEN system.
-  std::optional<PipelineConfig> detection{};
-  /// Press the start buttons automatically after `start_delay_ticks`.
-  /// The lead-in leaves the robot visibly in E-STOP first, as on the real
-  /// system — the offline packet analysis needs all four states.
-  bool auto_start = true;
-  std::uint32_t start_delay_ticks = 100;
 };
 
 /// Aggregated per-run outcome used by the experiment harnesses.
@@ -95,8 +82,8 @@ class SurgicalSim {
 
   /// Interposer chains (attack installation points).
   [[nodiscard]] InterposerChain& itp_chain() noexcept { return itp_chain_; }
-  [[nodiscard]] InterposerChain& write_chain() noexcept { return write_chain_; }
-  [[nodiscard]] InterposerChain& read_chain() noexcept { return read_chain_; }
+  [[nodiscard]] InterposerChain& write_chain() noexcept { return engine_.write_chain(); }
+  [[nodiscard]] InterposerChain& read_chain() noexcept { return engine_.read_chain(); }
 
   /// Install a full attack artifact set on the hops it compromises.
   void install(const AttackArtifacts& artifacts);
@@ -109,13 +96,14 @@ class SurgicalSim {
 
   // --- component access -----------------------------------------------------
   [[nodiscard]] const SimClock& clock() const noexcept { return clock_; }
-  [[nodiscard]] ControlSoftware& control() noexcept { return control_; }
-  [[nodiscard]] PhysicalRobot& plant() noexcept { return plant_; }
-  [[nodiscard]] Plc& plc() noexcept { return plc_; }
-  [[nodiscard]] UsbBoard& board() noexcept { return board_; }
+  /// The trusted chain (control, PLC, board, plant, detection pipeline).
+  [[nodiscard]] svc::SessionEngine& engine() noexcept { return engine_; }
+  [[nodiscard]] ControlSoftware& control() noexcept { return engine_.control(); }
+  [[nodiscard]] PhysicalRobot& plant() noexcept { return engine_.plant(); }
+  [[nodiscard]] const Plc& plc() const noexcept { return engine_.plc(); }
   [[nodiscard]] MasterConsole& console() noexcept { return console_; }
   [[nodiscard]] DetectionPipeline* pipeline() noexcept {
-    return pipeline_ ? &*pipeline_ : nullptr;
+    return config_.engine.screening ? &engine_.pipeline() : nullptr;
   }
   [[nodiscard]] const RunOutcome& outcome() const noexcept { return outcome_; }
 
@@ -146,42 +134,17 @@ class SurgicalSim {
     detection_observer_ = std::move(observer);
   }
 
-  /// Press the physical start button (control + PLC together).
-  void press_start();
-
  private:
   // --- phase-split tick ----------------------------------------------------
-  // step() == tick_begin → [estimator solve if needs_solve] → tick_resolve
-  // → plant step → tick_finish.  LockstepGroup (sim/lockstep.hpp) drives
-  // the phases across many sims so the estimator solves and the plant
-  // substeps run batched; each phase executes the exact statements the
-  // scalar step() would.
+  // step() == tick_begin → svc::advance_lanes over this sim's engine →
+  // tick_finish.  LockstepGroup (sim/lockstep.hpp) runs the same round over
+  // many sims' engines so the estimator solves and the plant substeps run
+  // batched.
 
-  /// Everything one tick carries across phase boundaries.
-  struct TickScratch {
-    std::uint64_t tick = 0;
-    CommandBytes cmd{};
-    bool deliver = false;
-    bool screened = false;
-    DetectionPipeline::ScreenState screen{};
-    DetectionPipeline::Outcome det{};
-  };
-
-  /// Console → network → control software → write chain → screening up to
-  /// (not including) the estimator's model solve.
+  /// Console → network → ITP interposers → the engine's tick_begin.
   void tick_begin();
-  /// True when tick_resolve still needs the solved one-step-ahead state.
-  [[nodiscard]] bool needs_solve() const noexcept {
-    return scratch_.screened && !scratch_.screen.complete;
-  }
-  [[nodiscard]] const PendingSolve& pending_solve() const noexcept {
-    return scratch_.screen.pending;
-  }
-  /// Verdict + mitigation + board latch + PLC; returns the drive the
-  /// plant must execute this period.  `next` is ignored unless
-  /// needs_solve().
-  [[nodiscard]] PlantDrive tick_resolve(const RavenDynamicsModel::State& next);
-  /// Encoder latch, oracle, trace/flight/event bookkeeping, clock tick.
+  /// The engine's tick_finish, then the oracle, trace/flight/event
+  /// bookkeeping and the clock tick.
   void tick_finish();
 
   friend class LockstepGroup;
@@ -194,18 +157,8 @@ class SurgicalSim {
   SimClock clock_;
   MasterConsole console_;
   UdpChannel udp_;
-  ControlSoftware control_;
-  Plc plc_;
-  UsbBoard board_;
-  PhysicalRobot plant_;
-  std::optional<DetectionPipeline> pipeline_;
-
+  svc::SessionEngine engine_;
   InterposerChain itp_chain_;
-  InterposerChain write_chain_;
-  InterposerChain read_chain_;
-
-  FeedbackBytes last_feedback_{};
-  bool started_ = false;
 
   // Oracle state: rings of recent ground-truth end-effector positions and
   // of the operator's *clean* (pre-attack) commanded positions; "abrupt
@@ -223,8 +176,6 @@ class SurgicalSim {
   Position clean_desired_{};
   bool clean_desired_valid_ = false;
   RunOutcome outcome_{};
-
-  TickScratch scratch_{};
 
   TraceRecorder* trace_ = nullptr;
   DetectionObserver detection_observer_;

@@ -1,19 +1,28 @@
-// SessionEngine: one surgeon session's server-side stack.
+// SessionEngine: the trusted chain of one teleoperation session.
 //
-// The gateway runs, per session, the same trusted chain the simulation
-// harness wires up — control software, PLC, USB interface board, plant
-// twin, and the detection pipeline — but driven by *externally ingested*
-// ITP datagrams instead of an in-process master console.  One accepted
-// datagram advances the session by exactly one 1 kHz control tick, so a
-// session's verdict stream is a pure function of its datagram stream:
-// that is what makes gateway runs deterministic at any shard count.
+// Steps 3–10 of the paper's Fig. 2 pipeline, implemented once:
 //
-// The tick is phase-split exactly like SurgicalSim's (begin / solve /
-// resolve / plant / finish) so a shard can gather up to kBatchLanes
-// sessions and run the two model-physics hot spots — the estimator's
-// one-step solve and the plant's RK4 substep loop — through the batched
-// SoA kernels (dynamics/batch_model.hpp).  The batched kernels are
-// bit-identical to the scalar ones, so batching never perturbs a verdict.
+//   board feedback --USB read--> [read interposers] --> control software
+//   control software --USB write--> [write interposers] --> detection
+//   pipeline (trusted) --> verdict + mitigation --> USB board --> PLC
+//   --> plant drive --> plant --> encoder latch
+//
+// plus the verdict digest and the optional calibration sketch.  Two hosts
+// drive it.  The gateway feeds it *externally ingested* ITP datagrams: one
+// accepted datagram advances the session by exactly one 1 kHz control
+// tick, so a session's verdict stream is a pure function of its datagram
+// stream, which is what makes gateway runs deterministic at any shard
+// count.  The simulator (sim/surgical_sim.hpp) wraps one engine with the
+// master console, the UDP channel, the ITP interposers and the impact
+// oracle.  On the gateway the USB interposer chains stay empty; attacks
+// install there only in simulation.
+//
+// The tick is phase-split (begin / solve / resolve / plant / finish) so
+// advance_lanes() below can run the two model-physics hot spots — the
+// estimator's one-step solve and the plant's RK4 substep loop — through
+// the batched SoA kernels (dynamics/batch_model.hpp) across up to
+// kBatchLanes engines.  The batched kernels are bit-identical to the
+// scalar ones, so batching never perturbs a verdict.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +30,7 @@
 #include <optional>
 #include <span>
 
+#include "attack/interposer.hpp"
 #include "common/realtime.hpp"
 #include "control/control_software.hpp"
 #include "core/pipeline.hpp"
@@ -28,6 +38,11 @@
 #include "hw/plc.hpp"
 #include "hw/usb_board.hpp"
 #include "plant/physical_robot.hpp"
+
+namespace rg {
+class BatchPlant;
+class BatchRavenModel;
+}  // namespace rg
 
 namespace rg::svc {
 
@@ -48,10 +63,19 @@ struct SessionEngineConfig {
   PlcConfig plc{};
   MotorChannelConfig channel{};
   PipelineConfig detection{};
+  /// Screen every delivered command through `detection`.  false runs the
+  /// stock RAVEN chain with no detection pipeline (the simulator's runs
+  /// without thresholds).
+  bool screening = true;
   SessionCalibrationConfig calibration{};
-  /// Plant start configuration (defaults to just off the homing target,
-  /// as in the simulation harness, so homing does real work).
+  /// Plant start configuration (defaults to just off the homing target so
+  /// homing does real work).
   std::optional<JointVector> initial_joints{};
+  /// E-STOP lead-in: the control software and PLC start buttons are
+  /// pressed at this tick.  A live gateway session starts on its first
+  /// tick; the simulator waits so the robot shows E-STOP first, as on the
+  /// real system (the offline packet analysis needs all four states).
+  std::uint32_t start_delay_ticks = 0;
 };
 
 class SessionEngine {
@@ -66,10 +90,13 @@ class SessionEngine {
   explicit SessionEngine(const SessionEngineConfig& config);
 
   /// Scalar convenience: one full control tick consuming `itp` (nullopt
-  /// models a within-session gap the caller chose to tick through).
+  /// models a tick with no datagram: lost, dropped, or a gap the caller
+  /// chose to tick through).
   RG_REALTIME TickResult tick(std::optional<std::span<const std::uint8_t>> itp);
 
-  // --- phase-split tick (the shard's batched driver) -----------------------
+  // --- phase-split tick (advance_lanes drives B–D across engines) ----------
+  /// Start buttons, feedback, control cycle, USB write hop and screening
+  /// up to the model solve.
   RG_REALTIME void tick_begin(std::optional<std::span<const std::uint8_t>> itp);
   [[nodiscard]] RG_REALTIME bool needs_solve() const noexcept {
     return screened_ && !screen_.complete;
@@ -85,10 +112,17 @@ class SessionEngine {
   /// plant (scalar or batched lane) with drive() in between.
   RG_REALTIME TickResult tick_finish();
 
+  // --- USB hops (attack installation points; empty on the gateway) --------
+  [[nodiscard]] InterposerChain& read_chain() noexcept { return read_chain_; }
+  [[nodiscard]] InterposerChain& write_chain() noexcept { return write_chain_; }
+
   // --- introspection -------------------------------------------------------
   [[nodiscard]] RG_REALTIME PhysicalRobot& plant() noexcept { return plant_; }
-  [[nodiscard]] DetectionPipeline& pipeline() noexcept { return pipeline_; }
+  /// The detection pipeline; only valid when the config enables screening.
+  [[nodiscard]] RG_REALTIME DetectionPipeline& pipeline() noexcept { return *pipeline_; }
   [[nodiscard]] ControlSoftware& control() noexcept { return control_; }
+  [[nodiscard]] const Plc& plc() const noexcept { return plc_; }
+  [[nodiscard]] const UsbBoard& board() const noexcept { return board_; }
   [[nodiscard]] std::uint64_t ticks() const noexcept { return ticks_; }
   [[nodiscard]] std::uint64_t alarms() const noexcept { return alarms_; }
   [[nodiscard]] std::uint64_t blocked() const noexcept { return blocked_; }
@@ -96,12 +130,18 @@ class SessionEngine {
   /// surfaced through ShardSessionStats and the admin /readyz probe).
   [[nodiscard]] bool estop_latched() const noexcept { return plc_.estop_latched(); }
   [[nodiscard]] const TickResult& last() const noexcept { return last_; }
+  /// This tick's detection outcome, or nullptr when nothing was screened
+  /// (no pipeline, or the write interposers dropped the command).  Valid
+  /// from tick_resolve until the next tick_begin.
+  [[nodiscard]] const DetectionPipeline::Outcome* detection() const noexcept {
+    return screened_ ? &out_ : nullptr;
+  }
 
-  /// FNV-1a fold of every tick's verdict (screened/alarm/blocked and the
-  /// bit pattern of the predicted end-effector displacement).  Two runs
-  /// that fed a session the same datagram stream must produce the same
-  /// digest regardless of sharding or batching — the determinism probe
-  /// tests/test_gateway.cpp asserts.
+  /// FNV-1a fold of every screened tick's verdict (alarm/blocked/worst
+  /// axis and the bit pattern of the predicted end-effector displacement).
+  /// Two runs that fed a session the same datagram stream must produce the
+  /// same digest regardless of sharding or batching — the determinism
+  /// probe tests/test_gateway.cpp asserts.
   [[nodiscard]] std::uint64_t verdict_digest() const noexcept { return digest_; }
 
   /// The session's streaming calibration sketch, or nullptr when
@@ -119,13 +159,19 @@ class SessionEngine {
   Plc plc_;
   UsbBoard board_;
   PhysicalRobot plant_;
-  DetectionPipeline pipeline_;
+  std::optional<DetectionPipeline> pipeline_;
+  InterposerChain read_chain_;
+  InterposerChain write_chain_;
 
   // Per-tick scratch carried across the phase boundaries.
   CommandBytes cmd_{};
-  DetectionPipeline::ScreenState screen_{};
+  bool delivered_ = false;  ///< the write interposers passed the command on
   bool screened_ = false;
+  DetectionPipeline::ScreenState screen_{};
+  DetectionPipeline::Outcome out_{};
   PlantDrive drive_{};
+  /// The feedback buffer the control software reads; a dropped USB read
+  /// leaves it holding the previous delivery.
   FeedbackBytes feedback_{};
 
   /// Heap-allocated (once, at construction) so disabled sessions don't
@@ -139,5 +185,23 @@ class SessionEngine {
   std::uint64_t digest_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
   TickResult last_{};
 };
+
+/// One lane round, phases B–D of a control tick, over engines that have
+/// each run tick_begin():
+///
+///   B. the estimator solves — one batched solve for the lanes that need
+///      one (the others get a discarded broadcast lane);
+///   C. every lane's tick_resolve (verdict, mitigation, board, PLC);
+///   D. the plant period — one BatchPlant period over all lanes.
+///
+/// A single lane takes the scalar path (DynamicModelEstimator::solve and
+/// PhysicalRobot::step_control_period).  Otherwise the lanes must share
+/// plant physics and estimator model/solver/step, `est_model` must be the
+/// batched twin of that estimator model, and `plants` is either a
+/// BatchPlant over exactly these lanes' plants (kept across rounds by
+/// callers whose lanes never change) or null to build one for this round.
+/// Each lane ends in the state its own scalar tick would have left it in.
+RG_REALTIME void advance_lanes(std::span<SessionEngine* const> lanes,
+                               const BatchRavenModel* est_model, BatchPlant* plants);
 
 }  // namespace rg::svc

@@ -8,13 +8,14 @@
 // mailboxes and advances sessions in *rounds*: each round, every session
 // with a pending datagram consumes exactly one and runs one control
 // tick.  Sessions in a round are processed in ascending session-id order
-// and grouped kBatchLanes at a time, so the estimator solves and the
-// plant substep loops of up to eight sessions run through the batched
-// SoA kernels — the gateway serves N sessions at far less than N times
-// the scalar cost, and because the batched kernels are bit-identical to
-// the scalar ones, grouping never changes a verdict
-// (tests/test_gateway.cpp asserts determinism at any shard count and any
-// ingest batch size).
+// and grouped kBatchLanes at a time through advance_lanes
+// (svc/session_engine.hpp), the lane round the campaign engine shares, so
+// the estimator solves and the plant substep loops of up to eight
+// sessions run through the batched SoA kernels — the gateway serves N
+// sessions at far less than N times the scalar cost, and because the
+// batched kernels are bit-identical to the scalar ones, grouping never
+// changes a verdict (tests/test_gateway.cpp asserts determinism at any
+// shard count and any ingest batch size).
 //
 // Thread model: the ring is the only pump→worker channel and it is
 // lock-free — the pump's submit() is one release store in the common

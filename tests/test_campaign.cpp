@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
 
@@ -203,6 +204,30 @@ TEST(Campaign, ReportTelemetryAndCounters) {
   EXPECT_EQ(report.queue_wait_us.count, 4u);
   EXPECT_GT(report.exec_us.max, 0u);
   EXPECT_GE(report.exec_us.percentile(99.0), report.exec_us.percentile(50.0));
+}
+
+TEST(Campaign, SimTickCounterSameAtAnyLaneCount) {
+  // rg.sim.ticks counts the 1 kHz ticks the simulator executed, whether a
+  // job ran as a scalar sim or as a lockstep lane.
+  const auto counted_ticks = [](int lanes) {
+    std::vector<CampaignJob> jobs(4);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      jobs[i].params = quick(300 + i);
+      jobs[i].params.duration_sec = 0.5;
+    }
+    obs::Registry::global().reset();
+    const CampaignReport report =
+        CampaignRunner(CampaignOptions{.jobs = 1, .lanes = lanes}).run(std::move(jobs));
+    EXPECT_EQ(report.counters.ticks, 2000u) << "lanes " << lanes;
+    const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
+    const obs::MetricsSnapshot::CounterValue* counter = snap.counter("rg.sim.ticks");
+    return counter == nullptr ? std::uint64_t{0} : counter->value;
+  };
+  const std::uint64_t scalar = counted_ticks(1);
+  EXPECT_EQ(counted_ticks(8), scalar);
+#ifndef RG_OBS_DISABLED
+  EXPECT_EQ(scalar, 2000u);
+#endif
 }
 
 TEST(Campaign, JsonReportIsWellFormed) {

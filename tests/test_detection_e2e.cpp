@@ -196,7 +196,7 @@ TEST_F(DetectionE2E, HoldLastSafeIsWeakerThanEstopMitigation) {
   spec.delay_packets = 500;
 
   SimConfig hold_cfg = make_session(base_session(19), thresholds(), MitigationMode::kArmed);
-  hold_cfg.detection->mitigation = MitigationStrategy::kHoldLastSafe;
+  hold_cfg.engine.detection.mitigation = MitigationStrategy::kHoldLastSafe;
   SurgicalSim hold_sim(std::move(hold_cfg));
   hold_sim.install(build_attack(spec));
   hold_sim.run(5.0);

@@ -130,7 +130,7 @@ TEST(IntegrationSim, DetectionObserverSeesEveryScreenedCommand) {
   huge.motor_vel = huge.motor_acc = huge.joint_vel = Vec3::filled(1e18);
   SessionParams p = quick_session(25);
   SimConfig cfg = make_session(p, huge, MitigationMode::kObserveOnly);
-  cfg.detection->detector.ee_jump_limit = 0.0;
+  cfg.engine.detection.detector.ee_jump_limit = 0.0;
   SurgicalSim sim(std::move(cfg));
   std::size_t observed = 0;
   sim.set_detection_observer([&observed](const DetectionPipeline::Outcome&) { ++observed; });

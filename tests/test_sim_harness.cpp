@@ -16,7 +16,7 @@ namespace {
 
 TEST(SimHarness, StartDelayKeepsRobotInEstop) {
   SimConfig cfg = make_session(SessionParams{.seed = 50}, std::nullopt, MitigationMode::kObserveOnly);
-  cfg.start_delay_ticks = 300;
+  cfg.engine.start_delay_ticks = 300;
   SurgicalSim sim(std::move(cfg));
   sim.run(0.25);
   EXPECT_EQ(sim.control().state(), RobotState::kEStop);
@@ -210,13 +210,13 @@ TEST(Experiment, MakeSessionWiresDetection) {
   p.fusion = FusionPolicy::kTwoOfThree;
   p.detector_solver = SolverKind::kRk4;
   const SimConfig with = make_session(p, th, MitigationMode::kArmed);
-  ASSERT_TRUE(with.detection.has_value());
-  EXPECT_TRUE(with.detection->mitigation_enabled);
-  EXPECT_EQ(with.detection->detector.fusion, FusionPolicy::kTwoOfThree);
-  EXPECT_EQ(with.detection->estimator.solver, SolverKind::kRk4);
+  ASSERT_TRUE(with.engine.screening);
+  EXPECT_TRUE(with.engine.detection.mitigation_enabled);
+  EXPECT_EQ(with.engine.detection.detector.fusion, FusionPolicy::kTwoOfThree);
+  EXPECT_EQ(with.engine.detection.estimator.solver, SolverKind::kRk4);
 
   const SimConfig without = make_session(p, std::nullopt, MitigationMode::kObserveOnly);
-  EXPECT_FALSE(without.detection.has_value());
+  EXPECT_FALSE(without.engine.screening);
 }
 
 TEST(Experiment, SessionsAreSeedDeterministic) {
