@@ -1,5 +1,6 @@
 // Microbenchmark for the dynamics hot kernels: scalar RavenDynamicsModel
-// vs the batched SoA BatchRavenModel (dynamics/batch_model.hpp), plus an
+// vs the batched SoA BatchRavenModel (dynamics/batch_model.hpp), the
+// plant's control period (PhysicalRobot vs BatchPlant), plus an
 // end-to-end campaign throughput comparison with lane batching off/on.
 //
 // The batched kernels are bit-identical to the scalar ones (asserted by
@@ -8,16 +9,20 @@
 // campaign level.  Results land in BENCH_dynamics.json (schema
 // "rg.bench.dynamics/1"; RG_BENCH_DYNAMICS_JSON overrides the path) via
 // the same atexit flush pattern bench_util.hpp uses for campaign logs.
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "dynamics/batch_model.hpp"
 #include "dynamics/raven_model.hpp"
+#include "plant/batch_plant.hpp"
 #include "sim/campaign.hpp"
 
 namespace rg::bench {
@@ -138,7 +143,7 @@ void bench_derivative(std::uint64_t iters) {
 
     t0 = std::chrono::steady_clock::now();
     for (std::uint64_t it = 0; it < chunk; ++it) {
-      batch.derivative(x, tau_em, nullptr, nullptr, dx);
+      batch.derivative(x, tau_em, dx);
       sink += dx.c[3][0];
     }
     const double bsec = seconds_since(t0);
@@ -193,6 +198,65 @@ void bench_step_rk4(std::uint64_t iters) {
   record("step_rk4", chunk * kBatchLanes, scalar_best, batched_best);
 }
 
+/// One plant control period on kBatchLanes plants: each plant's
+/// PhysicalRobot::step_control_period against one BatchPlant period over
+/// eight twins of them ("evals" are lane-periods).  The drive cycles
+/// through a precomputed oscillating profile, so the arms stay inside
+/// their range and no cable snaps.
+void bench_plant_period(std::uint64_t iters) {
+  std::vector<PhysicalRobot> scalar_plants;
+  std::vector<PhysicalRobot> batch_plants;
+  for (std::size_t l = 0; l < kBatchLanes; ++l) {
+    PlantConfig config;
+    config.seed = 1 + l;
+    scalar_plants.emplace_back(config);
+    batch_plants.emplace_back(config);
+  }
+  std::array<PhysicalRobot*, kBatchLanes> ptrs{};
+  for (std::size_t l = 0; l < kBatchLanes; ++l) ptrs[l] = &batch_plants[l];
+  BatchPlant batch(std::span<PhysicalRobot* const>{ptrs.data(), kBatchLanes});
+
+  constexpr std::size_t kProfile = 64;
+  std::vector<std::array<PlantDrive, kBatchLanes>> profile(kProfile);
+  for (std::size_t p = 0; p < kProfile; ++p) {
+    for (std::size_t l = 0; l < kBatchLanes; ++l) {
+      const double phase = 0.1 * static_cast<double>(p) + 0.4 * static_cast<double>(l);
+      profile[p][l].currents = {0.8 * std::sin(phase), 0.5 * std::cos(phase),
+                                0.2 * std::sin(phase)};
+      profile[p][l].wrist_currents = {0.01, 0.0, -0.01};
+    }
+  }
+
+  const std::uint64_t chunk = iters / kPasses + 1;
+  double sink = 0.0;
+  double scalar_best = 1.0e300;
+  double batched_best = 1.0e300;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t it = 0; it < chunk; ++it) {
+      const auto& drives = profile[it % kProfile];
+      for (std::size_t l = 0; l < kBatchLanes; ++l) {
+        scalar_plants[l].step_control_period(drives[l].currents, drives[l].brakes_engaged,
+                                             drives[l].wrist_currents);
+      }
+    }
+    sink += scalar_plants[0].joint_positions()[0];
+    const double ssec = seconds_since(t0);
+    scalar_best = ssec < scalar_best ? ssec : scalar_best;
+
+    t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t it = 0; it < chunk; ++it) {
+      batch.step_control_period(profile[it % kProfile]);
+    }
+    sink += batch_plants[0].joint_positions()[0];
+    const double bsec = seconds_since(t0);
+    batched_best = bsec < batched_best ? bsec : batched_best;
+  }
+
+  if (sink == 42.0) std::printf("#");
+  record("plant_period", chunk * kBatchLanes, scalar_best, batched_best);
+}
+
 /// End-to-end: the same homogeneous campaign with lane batching disabled
 /// (lanes=1) and enabled (lanes=kBatchLanes) on one worker thread, so the
 /// wall-clock delta is purely the batched kernels.
@@ -236,6 +300,7 @@ int main() {
   const auto iters = static_cast<std::uint64_t>(200000 * scale());
   bench_derivative(iters > 0 ? iters : 1);
   bench_step_rk4((iters > 0 ? iters : 1) / 4 + 1);
+  bench_plant_period(iters / 200 + 1);
   bench_campaign(reps(16), 1.0);
   return 0;
 }

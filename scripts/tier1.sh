@@ -19,7 +19,10 @@
 # the report (rg.campaign.report/2), the metrics snapshot, the Chrome
 # trace, and the safety-event JSONL (which must contain at least one
 # detector alarm and one mitigation).  Stage 5 runs the dynamics-kernel
-# microbench at a tiny scale and schema-validates BENCH_dynamics.json.
+# microbench at a tiny scale and schema-validates BENCH_dynamics.json
+# (including the plant_period row), then runs the vectorization gate
+# (scripts/check_vectorized.sh): every x86-64-v4 lane-kernel clone must
+# be call-free and use zmm registers.
 # Stage 6 exercises the teleoperation gateway service end to end: the
 # capacity bench at a tiny scale (schema rg.bench.gateway/2, including
 # the binary-searched capacity section and the rx_batch sweep), a
@@ -54,8 +57,9 @@
 # requires them byte-identical to the repo-root copies.
 #
 # Gates whose tool is not installed (the clang-format, clang-tidy and
-# clang -Wthread-safety checks) exit 77 and print SKIPPED; the closing
-# summary lists every skipped gate, so a green run shows what did not run.
+# clang -Wthread-safety checks; the vectorization gate without objdump or
+# ISA clones) exit 77 and print SKIPPED; the closing summary lists every
+# skipped gate, so a green run shows what did not run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -144,7 +148,7 @@ with open(sys.argv[1]) as f:
 assert doc["schema"] == "rg.bench.dynamics/1", doc.get("schema")
 assert doc["lanes"] >= 2, doc.get("lanes")
 kernels = {row["kernel"] for row in doc["kernels"]}
-assert {"derivative", "step_rk4", "campaign"} <= kernels, kernels
+assert {"derivative", "step_rk4", "plant_period", "campaign"} <= kernels, kernels
 for row in doc["kernels"]:
     assert row["evals"] > 0
     assert row["scalar_evals_per_sec"] > 0.0
@@ -152,6 +156,7 @@ for row in doc["kernels"]:
     assert row["speedup"] > 0.0
 PY
 echo "bench schema OK (${TDIR}/bench_dynamics.json)"
+gate scripts/check_vectorized.sh build
 
 echo "== tier-1 stage 6: gateway service end-to-end =="
 cmake --build build -j "${JOBS}" --target raven_gateway itp_loadgen bench_gateway

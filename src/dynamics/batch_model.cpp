@@ -1,5 +1,8 @@
 #include "dynamics/batch_model.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 // Runtime ISA dispatch for the lane loops.  The SSE2 baseline packs only
 // two doubles per vector, which caps the batched speedup near 2x minus
 // loop overhead; x86-64-v3 (AVX2) and v4 (AVX-512) quadruple/octuple the
@@ -26,8 +29,8 @@ namespace {
 
 constexpr std::size_t K = kBatchLanes;
 
-/// Neutral external effects for the nominal-model path.
-const std::array<LaneFx, K> kNeutralFx{};
+/// Unit cable scale: tension for the overload watch is unscaled.
+constexpr double kUnitScale[3] = {1.0, 1.0, 1.0};
 
 // Elementwise solver-update helpers.  Each replicates the exact
 // expression shape rg::Vec's operators produce for the scalar solvers in
@@ -41,14 +44,20 @@ RG_REALTIME inline void axpy(const BatchState& x, const BatchState& k, double a,
   }
 }
 
+RG_REALTIME RG_LANE_INLINE LaneState load_lane(const BatchState& x, std::size_t l) noexcept {
+  return LaneState{x.c[0][l], x.c[1][l], x.c[2][l],  x.c[3][l], x.c[4][l],  x.c[5][l],
+                   x.c[6][l], x.c[7][l], x.c[8][l],  x.c[9][l], x.c[10][l], x.c[11][l]};
+}
+
 }  // namespace
 
-BatchRavenModel::BatchRavenModel(const RavenDynamicsParams& params) : p_(params) {
-  // Reuse the scalar model's construction (validation + coupling build) so
-  // the flattened constants are byte-for-byte the scalar model's.
-  const RavenDynamicsModel scalar(params);
-  kp_ = scalar.kernel_params();
-}
+BatchRavenModel::BatchRavenModel(const RavenDynamicsParams& params)
+    : BatchRavenModel(RavenDynamicsModel(params)) {}
+
+// The scalar model's flattened constants, byte for byte: batched lanes
+// evaluate exactly what the scalar model does.
+BatchRavenModel::BatchRavenModel(const RavenDynamicsModel& scalar) noexcept
+    : kp_(scalar.kernel_params()), hard_stops_(scalar.params().enforce_hard_stops) {}
 
 RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::tau_em_from_currents(const BatchLanes3& currents,
                                            BatchLanes3& tau_em) const noexcept {
@@ -64,131 +73,143 @@ RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::tau_em_from_currents(const Ba
 
 namespace {
 
-// The lean/general split is a template parameter (not a runtime branch in
-// one body) so each instantiation inlines exactly ONE copy of the lane
-// kernel — two copies in a single function blow GCC's inlining budget,
-// the kernel gets outlined, and neither lane loop vectorizes.
-//
-// Lean path (no effects, no brakes — the estimator's and the bench's hot
-// configuration): skips the effects transpose and the lock select.  Same
-// kernel, same neutral LaneFx values, so it is bit-identical to the
-// general path, just without its per-call setup cost.
-template <bool HardStops, bool Lean>
-RG_REALTIME RG_LANE_INLINE void lanes_body(const DynParams& kp, const BatchState& x,
-                               const BatchLanes3& tau_em, const std::array<LaneFx, K>* fx,
-                               const bool* locked, BatchState& dx) noexcept {
-  // Transpose the per-lane effects to SoA locals and widen the lock flags
-  // to a double mask: inside the lane loop, an effects[l].member access is
-  // a 72-byte-strided gather and a bool load is a sub-word select — both
-  // veto vectorization; contiguous local double arrays don't.
-  std::array<std::array<double, K>, 3> emt{};
-  std::array<std::array<double, K>, 3> csc{};
-  std::array<std::array<double, K>, 3> ejf{};
-  std::array<double, K> lock_mask{};
-  if constexpr (!Lean) {
-    const std::array<LaneFx, K>& effects = fx != nullptr ? *fx : kNeutralFx;
-    for (std::size_t i = 0; i < 3; ++i) {
-      for (std::size_t l = 0; l < K; ++l) {
-        emt[i][l] = effects[l].extra_motor_torque[i];
-        csc[i][l] = effects[l].cable_scale[i];
-        ejf[i][l] = effects[l].extra_joint_force[i];
-      }
-    }
-    if (locked != nullptr) {
-      for (std::size_t l = 0; l < K; ++l) lock_mask[l] = locked[l] ? 1.0 : 0.0;
-    }
-  }
+// Both bodies below take HardStops as a template parameter (not a runtime
+// branch in one body) so each instantiation inlines exactly ONE copy of
+// the lane kernel — two copies in a single function blow GCC's inlining
+// budget, the kernel gets outlined, and no lane loop vectorizes.  The
+// period body likewise runs its four RK4 stages as a loop around one
+// kernel copy.
+template <bool HardStops>
+RG_REALTIME RG_LANE_INLINE void derivative_body(const DynParams& kp, const BatchState& x,
+                                                const BatchLanes3& tau_em,
+                                                BatchState& dx) noexcept {
   // Compute into a local, then copy out.  A local provably never aliases
   // the inputs, so the lane loop has no read-write conflicts; writing dx
   // directly would demand a runtime alias check per (input, output) array
   // pair — 12x12 of them — and the vectorizer gives up instead.
   BatchState tmp;
   for (std::size_t l = 0; l < K; ++l) {
-    const LaneState s{x.c[0][l], x.c[1][l], x.c[2][l],  x.c[3][l], x.c[4][l],  x.c[5][l],
-                      x.c[6][l], x.c[7][l], x.c[8][l],  x.c[9][l], x.c[10][l], x.c[11][l]};
     const double te[3] = {tau_em[0][l], tau_em[1][l], tau_em[2][l]};
-    LaneFx fxl{};
-    if constexpr (!Lean) {
-      fxl = LaneFx{{emt[0][l], emt[1][l], emt[2][l]},
-                   {csc[0][l], csc[1][l], csc[2][l]},
-                   {ejf[0][l], ejf[1][l], ejf[2][l]}};
-    }
     double d[12];
-    derivative_lane<HardStops>(kp, s, fxl, te, d);
-    if constexpr (Lean) {
-      for (std::size_t i = 0; i < 12; ++i) tmp.c[i][l] = d[i];
-    } else {
-      // Locked shafts: motor position and velocity derivatives vanish
-      // (mirrors the scalar plant's substep lambda).  Select, don't scale:
-      // 0.0 * wd would flip the sign bit of zero for negative wd.
-      for (std::size_t i = 0; i < 6; ++i) tmp.c[i][l] = lock_mask[l] != 0.0 ? 0.0 : d[i];
-      for (std::size_t i = 6; i < 12; ++i) tmp.c[i][l] = d[i];
-    }
+    derivative_lane<HardStops>(kp, load_lane(x, l), LaneFx{}, te, d);
+    for (std::size_t i = 0; i < 12; ++i) tmp.c[i][l] = d[i];
   }
   dx = tmp;
 }
 
-// One ISA-cloned entry point per (HardStops, Lean) instantiation.  The
-// always_inline lanes_body is re-expanded inside every clone, so each ISA
-// gets its own fully vectorized copy of the lane loop.
-RG_REALTIME RG_LANES_CLONES void lanes_hs_lean(const DynParams& kp, const BatchState& x,
-                                   const BatchLanes3& tau_em, BatchState& dx) noexcept {
-  lanes_body<true, true>(kp, x, tau_em, nullptr, nullptr, dx);
+/// One plant control period (see BatchRavenModel::step_period).  State,
+/// inputs and RK4 stages live in locals for the whole period, so every
+/// lane loop is alias-free and the period costs one call.
+template <bool HardStops>
+RG_REALTIME RG_LANE_INLINE void period_body(const DynParams& kp, BatchState& state,
+                                            BatchPeriod& period, double h,
+                                            double duration) noexcept {
+  BatchState x = state;
+  BatchPeriod in = period;
+  BatchState xs;                // the next stage's input
+  std::array<BatchState, 4> k;  // the RK4 stages
+  double remaining = duration;
+  while (remaining > 1e-12) {
+    const double dt = std::min(h, remaining);
+    // Stage s's k feeds stage s+1 as x + k * a[s] (the last stage's
+    // input is never read).
+    const double a[4] = {0.5 * dt, 0.5 * dt, dt, 0.0};
+    xs = x;
+    for (std::size_t s = 0; s < 4; ++s) {
+      for (std::size_t l = 0; l < K; ++l) {
+        const LaneFx fx{{in.extra_motor_torque[0][l], in.extra_motor_torque[1][l],
+                         in.extra_motor_torque[2][l]},
+                        {in.cable_scale[0][l], in.cable_scale[1][l], in.cable_scale[2][l]},
+                        {in.extra_joint_force[0][l], in.extra_joint_force[1][l],
+                         in.extra_joint_force[2][l]}};
+        const double te[3] = {in.tau_em[0][l], in.tau_em[1][l], in.tau_em[2][l]};
+        double d[12];
+        derivative_lane<HardStops>(kp, load_lane(xs, l), fx, te, d);
+        // Held shafts: motor position and velocity derivatives vanish
+        // (the scalar plant's substep lambda).  Select, don't scale:
+        // 0.0 * wd would flip the sign bit of zero for negative wd.
+        for (std::size_t i = 0; i < 6; ++i) d[i] = in.shaft_held[l] != 0.0 ? 0.0 : d[i];
+        for (std::size_t i = 0; i < 12; ++i) {
+          k[s].c[i][l] = d[i];
+          xs.c[i][l] = x.c[i][l] + d[i] * a[s];
+        }
+      }
+    }
+    // x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
+    const double h6 = dt / 6.0;
+    for (std::size_t c = 0; c < 12; ++c) {
+      for (std::size_t l = 0; l < K; ++l) {
+        x.c[c][l] = x.c[c][l] + (((k[0].c[c][l] + k[1].c[c][l] * 2.0) + k[2].c[c][l] * 2.0) +
+                                 k[3].c[c][l]) *
+                                    h6;
+      }
+    }
+
+    // Overload watch at the new state: a snapped cable decouples its axis
+    // for the rest of the period.  NaN > threshold is false, so a NaN
+    // tension never snaps, as in the scalar loop.
+    for (std::size_t l = 0; l < K; ++l) {
+      double t[3];
+      cable_force_lane(kp, load_lane(x, l), kUnitScale, t);
+      for (std::size_t i = 0; i < 3; ++i) {
+        const bool snaps = std::abs(t[i]) > in.snap_threshold[i][l];
+        in.cable_scale[i][l] = snaps ? 0.0 : in.cable_scale[i][l];
+      }
+    }
+    remaining -= dt;
+  }
+  state = x;
+  period.cable_scale = in.cable_scale;
 }
-RG_REALTIME RG_LANES_CLONES void lanes_hs_full(const DynParams& kp, const BatchState& x,
-                                   const BatchLanes3& tau_em, const std::array<LaneFx, K>* fx,
-                                   const bool* locked, BatchState& dx) noexcept {
-  lanes_body<true, false>(kp, x, tau_em, fx, locked, dx);
+
+// One ISA-cloned entry point per instantiation.  The always_inline bodies
+// are re-expanded inside every clone, so each ISA gets its own fully
+// vectorized copy of the lane loops.
+RG_REALTIME RG_LANES_CLONES void derivative_hs(const DynParams& kp, const BatchState& x,
+                                               const BatchLanes3& tau_em,
+                                               BatchState& dx) noexcept {
+  derivative_body<true>(kp, x, tau_em, dx);
 }
-RG_REALTIME RG_LANES_CLONES void lanes_nohs_lean(const DynParams& kp, const BatchState& x,
-                                     const BatchLanes3& tau_em, BatchState& dx) noexcept {
-  lanes_body<false, true>(kp, x, tau_em, nullptr, nullptr, dx);
+RG_REALTIME RG_LANES_CLONES void derivative_nohs(const DynParams& kp, const BatchState& x,
+                                                 const BatchLanes3& tau_em,
+                                                 BatchState& dx) noexcept {
+  derivative_body<false>(kp, x, tau_em, dx);
 }
-RG_REALTIME RG_LANES_CLONES void lanes_nohs_full(const DynParams& kp, const BatchState& x,
-                                     const BatchLanes3& tau_em, const std::array<LaneFx, K>* fx,
-                                     const bool* locked, BatchState& dx) noexcept {
-  lanes_body<false, false>(kp, x, tau_em, fx, locked, dx);
+RG_REALTIME RG_LANES_CLONES void period_hs(const DynParams& kp, BatchState& x, BatchPeriod& period,
+                                           double h, double duration) noexcept {
+  period_body<true>(kp, x, period, h, duration);
+}
+RG_REALTIME RG_LANES_CLONES void period_nohs(const DynParams& kp, BatchState& x,
+                                             BatchPeriod& period, double h,
+                                             double duration) noexcept {
+  period_body<false>(kp, x, period, h, duration);
 }
 
 }  // namespace
 
-template <bool HardStops>
-RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::derivative_impl(const BatchState& x, const BatchLanes3& tau_em,
-                                      const std::array<LaneFx, K>* fx, const bool* locked,
-                                      BatchState& dx) const noexcept {
-  const bool lean = fx == nullptr && locked == nullptr;
-  if constexpr (HardStops) {
-    if (lean) {
-      lanes_hs_lean(kp_, x, tau_em, dx);
-    } else {
-      lanes_hs_full(kp_, x, tau_em, fx, locked, dx);
-    }
+RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::derivative(const BatchState& x, const BatchLanes3& tau_em,
+                                 BatchState& dx) const noexcept {
+  if (hard_stops_) {
+    derivative_hs(kp_, x, tau_em, dx);
   } else {
-    if (lean) {
-      lanes_nohs_lean(kp_, x, tau_em, dx);
-    } else {
-      lanes_nohs_full(kp_, x, tau_em, fx, locked, dx);
-    }
+    derivative_nohs(kp_, x, tau_em, dx);
   }
 }
 
-RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::derivative(const BatchState& x, const BatchLanes3& tau_em,
-                                 const std::array<LaneFx, K>* fx, const bool* locked,
-                                 BatchState& dx) const noexcept {
-  if (p_.enforce_hard_stops) {
-    derivative_impl<true>(x, tau_em, fx, locked, dx);
+RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::step_period(BatchState& x, BatchPeriod& period,
+                                                              double h,
+                                                              double duration) const noexcept {
+  if (hard_stops_) {
+    period_hs(kp_, x, period, h, duration);
   } else {
-    derivative_impl<false>(x, tau_em, fx, locked, dx);
+    period_nohs(kp_, x, period, h, duration);
   }
 }
 
 RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::cable_force(const BatchState& x, BatchLanes3& tau) const noexcept {
-  constexpr double kOnes[3] = {1.0, 1.0, 1.0};
   for (std::size_t l = 0; l < K; ++l) {
-    const LaneState s{x.c[0][l], x.c[1][l], x.c[2][l],  x.c[3][l], x.c[4][l],  x.c[5][l],
-                      x.c[6][l], x.c[7][l], x.c[8][l],  x.c[9][l], x.c[10][l], x.c[11][l]};
     double t[3];
-    cable_force_lane(kp_, s, kOnes, t);
+    cable_force_lane(kp_, load_lane(x, l), kUnitScale, t);
     tau[0][l] = t[0];
     tau[1][l] = t[1];
     tau[2][l] = t[2];
@@ -199,14 +220,8 @@ RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::step(BatchState& x, const Bat
                            SolverKind solver) const noexcept {
   BatchLanes3 tau_em;
   tau_em_from_currents(currents, tau_em);
-  step_with_effects(x, tau_em, kNeutralFx, nullptr, h, solver);
-}
-
-RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::step_with_effects(BatchState& x, const BatchLanes3& tau_em,
-                                        const std::array<LaneFx, K>& fx, const bool* locked,
-                                        double h, SolverKind solver) const noexcept {
   BatchState k1;
-  derivative(x, tau_em, &fx, locked, k1);
+  derivative(x, tau_em, k1);
 
   switch (solver) {
     case SolverKind::kEuler: {
@@ -219,7 +234,7 @@ RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::step_with_effects(BatchState&
     case SolverKind::kMidpoint: {
       BatchState xs, k2;
       axpy(x, k1, 0.5 * h, xs);
-      derivative(xs, tau_em, &fx, locked, k2);
+      derivative(xs, tau_em, k2);
       // x + h * k2
       for (std::size_t c = 0; c < 12; ++c) {
         for (std::size_t l = 0; l < K; ++l) x.c[c][l] = x.c[c][l] + k2.c[c][l] * h;
@@ -229,11 +244,11 @@ RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::step_with_effects(BatchState&
     case SolverKind::kRk4: {
       BatchState xs, k2, k3, k4;
       axpy(x, k1, 0.5 * h, xs);
-      derivative(xs, tau_em, &fx, locked, k2);
+      derivative(xs, tau_em, k2);
       axpy(x, k2, 0.5 * h, xs);
-      derivative(xs, tau_em, &fx, locked, k3);
+      derivative(xs, tau_em, k3);
       axpy(x, k3, h, xs);
-      derivative(xs, tau_em, &fx, locked, k4);
+      derivative(xs, tau_em, k4);
       // x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4)
       const double h6 = h / 6.0;
       for (std::size_t c = 0; c < 12; ++c) {
@@ -257,19 +272,19 @@ RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::step_with_effects(BatchState&
                    c64 = 1859.0 * h / 4104.0, c65 = 11.0 * h / 40.0;
 
       axpy(x, k1, c21, xs);
-      derivative(xs, tau_em, &fx, locked, k2);
+      derivative(xs, tau_em, k2);
       for (std::size_t c = 0; c < 12; ++c) {
         for (std::size_t l = 0; l < K; ++l) {
           xs.c[c][l] = (x.c[c][l] + k1.c[c][l] * c31) + k2.c[c][l] * c32;
         }
       }
-      derivative(xs, tau_em, &fx, locked, k3);
+      derivative(xs, tau_em, k3);
       for (std::size_t c = 0; c < 12; ++c) {
         for (std::size_t l = 0; l < K; ++l) {
           xs.c[c][l] = ((x.c[c][l] + k1.c[c][l] * c41) - k2.c[c][l] * c42) + k3.c[c][l] * c43;
         }
       }
-      derivative(xs, tau_em, &fx, locked, k4);
+      derivative(xs, tau_em, k4);
       for (std::size_t c = 0; c < 12; ++c) {
         for (std::size_t l = 0; l < K; ++l) {
           xs.c[c][l] = (((x.c[c][l] + k1.c[c][l] * c51) - k2.c[c][l] * c52) +
@@ -277,7 +292,7 @@ RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::step_with_effects(BatchState&
                        k4.c[c][l] * c54;
         }
       }
-      derivative(xs, tau_em, &fx, locked, k5);
+      derivative(xs, tau_em, k5);
       for (std::size_t c = 0; c < 12; ++c) {
         for (std::size_t l = 0; l < K; ++l) {
           xs.c[c][l] = ((((x.c[c][l] - k1.c[c][l] * c61) + k2.c[c][l] * c62) -
@@ -286,7 +301,7 @@ RG_REALTIME RG_DETERMINISTIC void BatchRavenModel::step_with_effects(BatchState&
                        k5.c[c][l] * c65;
         }
       }
-      derivative(xs, tau_em, &fx, locked, k6);
+      derivative(xs, tau_em, k6);
       // x + h * ((((16/135 k1 + 6656/12825 k3) + 28561/56430 k4) - 9/50 k5) + 2/55 k6)
       for (std::size_t c = 0; c < 12; ++c) {
         for (std::size_t l = 0; l < K; ++l) {

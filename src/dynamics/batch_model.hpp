@@ -12,9 +12,16 @@
 // campaign engine batch homogeneous jobs without perturbing a byte of the
 // deterministic report (asserted by tests/test_batch_dynamics.cpp).
 //
-// Users: BatchPlant (plant/batch_plant.hpp) advances K physical robots per
-// control period; LockstepGroup (sim/lockstep.hpp) adds the batched
-// estimator solve.
+// Two entry points carry the hot work (batch_model.cpp compiles the lane
+// loops once per ISA):
+//   - step() — one solver step under per-lane currents, no external
+//     effects: the estimator's batched solve, one cloned derivative call
+//     per stage;
+//   - step_period() — a whole plant control period in one cloned call:
+//     every RK4 substep with the per-lane external effects and shaft
+//     holds, plus the cable overload watch after each substep.
+//     BatchPlant (plant/batch_plant.hpp) packs the inputs once per
+//     period and drives it.
 #pragma once
 
 #include <array>
@@ -59,23 +66,40 @@ struct alignas(64) BatchState {
   }
 };
 
+/// One plant control period's per-lane inputs, held for the whole period
+/// — the SoA twin of the scalar plant's period setup.  Component i of
+/// lane l sits at [i][l].
+struct alignas(64) BatchPeriod {
+  BatchLanes3 tau_em{};              ///< electromagnetic torque (N*m)
+  BatchLanes3 extra_motor_torque{};  ///< N*m
+  /// Cable stiffness/damping scale (1 intact, 0 snapped).  step_period
+  /// zeroes a lane-axis when its cable snaps, so the caller reads the
+  /// period's snaps back from here.
+  BatchLanes3 cable_scale{};
+  BatchLanes3 extra_joint_force{};  ///< N*m, N*m, N
+  /// Non-zero where the brakes hold the lane's motor shafts: their
+  /// position and velocity derivatives are forced to zero.
+  std::array<double, kBatchLanes> shaft_held{};
+  /// Overload threshold per axis and lane; +inf where the axis is not
+  /// watched (already snapped, never snaps, or an unused lane).
+  BatchLanes3 snap_threshold{};
+};
+
 /// K-lane RAVEN dynamics over a single parameter set (the lanes of a
 /// batch share physics; only state and inputs differ per lane).
 class BatchRavenModel {
  public:
   explicit BatchRavenModel(const RavenDynamicsParams& params);
+  /// Share an existing scalar model's flattened constants (no model
+  /// build: BatchPlant is constructed every gateway round).
+  explicit BatchRavenModel(const RavenDynamicsModel& scalar) noexcept;
 
-  /// dx/dt for all lanes.  `tau_em` is the per-lane electromagnetic
-  /// torque (see tau_em_from_currents); `fx`/`locked` may be null for
-  /// the nominal model (no external effects, no brake locks).  A locked
-  /// lane gets zero motor position/velocity derivatives, exactly like
-  /// the scalar plant's shaft lock.
+  /// dx/dt for all lanes under per-lane electromagnetic torque (see
+  /// tau_em_from_currents); nominal model, no external effects.
   RG_REALTIME void derivative(const BatchState& x, const BatchLanes3& tau_em,
-                  const std::array<LaneFx, kBatchLanes>* fx, const bool* locked,
-                  BatchState& dx) const noexcept;
+                              BatchState& dx) const noexcept;
 
-  /// Unscaled joint-side cable tension per lane (the plant's overload
-  /// watch).
+  /// Unscaled joint-side cable tension per lane.
   RG_REALTIME void cable_force(const BatchState& x, BatchLanes3& tau) const noexcept;
 
   /// Advance all lanes by h with the given (pre-validated) solver under
@@ -84,27 +108,21 @@ class BatchRavenModel {
   RG_REALTIME void step(BatchState& x, const BatchLanes3& currents, double h,
             SolverKind solver) const noexcept;
 
-  /// Advance all lanes by h under precomputed tau_em, per-lane external
-  /// effects and lock flags — the plant path (BatchPlant owns the
-  /// substep/snap loop around this).
-  RG_REALTIME void step_with_effects(BatchState& x, const BatchLanes3& tau_em,
-                         const std::array<LaneFx, kBatchLanes>& fx, const bool* locked,
-                         double h, SolverKind solver) const noexcept;
+  /// Integrate one plant period of `duration` seconds on every lane — the
+  /// scalar plant's schedule: RK4 substeps of min(h, remaining) while
+  /// more than 1e-12 s remain, each followed by the overload watch.  A
+  /// lane-axis whose |tension| exceeds its threshold has its cable scale
+  /// zeroed for the rest of the period (a NaN tension never snaps).
+  RG_REALTIME void step_period(BatchState& x, BatchPeriod& period, double h,
+                               double duration) const noexcept;
 
   /// Per-lane electromagnetic torque from commanded currents (hoisted out
   /// of the per-stage loop; state-independent).
   RG_REALTIME void tau_em_from_currents(const BatchLanes3& currents, BatchLanes3& tau_em) const noexcept;
 
-  [[nodiscard]] const RavenDynamicsParams& params() const noexcept { return p_; }
-
  private:
-  template <bool HardStops>
-  RG_REALTIME void derivative_impl(const BatchState& x, const BatchLanes3& tau_em,
-                       const std::array<LaneFx, kBatchLanes>* fx, const bool* locked,
-                       BatchState& dx) const noexcept;
-
-  RavenDynamicsParams p_;
   DynParams kp_;
+  bool hard_stops_ = false;
 };
 
 }  // namespace rg

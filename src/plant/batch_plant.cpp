@@ -1,7 +1,6 @@
 #include "plant/batch_plant.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "common/clock.hpp"
 #include "common/error.hpp"
@@ -9,9 +8,9 @@
 namespace rg {
 
 BatchPlant::BatchPlant(std::span<PhysicalRobot* const> plants)
-    : model_([&]() {
+    : model_([&]() -> const RavenDynamicsModel& {
         require(!plants.empty(), "BatchPlant needs at least one plant");
-        return plants.front()->config().dynamics;
+        return plants.front()->model();
       }()) {
   require(plants.size() <= kBatchLanes, "BatchPlant: too many plants for the lane count");
   n_ = plants.size();
@@ -48,65 +47,41 @@ RG_REALTIME void BatchPlant::step_control_period(std::span<const PlantDrive> dri
   x.broadcast(0);
   for (std::size_t l = 1; l < n_; ++l) x.set_lane(l, plants_[l]->state_);
 
-  // Per-period lane constants: electromagnetic torque (state-independent),
-  // external effects, and shaft locks.
+  // Pack the period's lane inputs once.  An axis is watched for overload
+  // under the scalar integrate_period's rule — intact, with a threshold
+  // below kNeverSnaps; every other lane-axis gets +inf.
+  BatchPeriod period;
   BatchLanes3 currents{};
-  std::array<LaneFx, kBatchLanes> fx{};
-  std::array<bool, kBatchLanes> locked{};
   for (std::size_t l = 0; l < kBatchLanes; ++l) {
-    const PhysicalRobot::PeriodSetup& su = setups[l < n_ ? l : 0];
+    const bool used = l < n_;
+    const PhysicalRobot::PeriodSetup& su = setups[used ? l : 0];
     for (std::size_t i = 0; i < 3; ++i) {
       currents[i][l] = su.currents[i];
-      fx[l].extra_motor_torque[i] = su.fx.extra_motor_torque[i];
-      fx[l].cable_scale[i] = su.fx.cable_scale[i];
-      fx[l].extra_joint_force[i] = su.fx.extra_joint_force[i];
-    }
-    locked[l] = su.shaft_locked;
-  }
-  BatchLanes3 tau_em;
-  model_.tau_em_from_currents(currents, tau_em);
-
-  // Which lanes/axes still need the post-substep overload watch (same
-  // skip rule as the scalar integrate_period).
-  std::array<std::array<bool, 3>, kBatchLanes> watch{};
-  bool watch_any = false;
-  for (std::size_t l = 0; l < n_; ++l) {
-    const PhysicalRobot& plant = *plants_[l];
-    for (std::size_t i = 0; i < 3; ++i) {
-      watch[l][i] = !plant.snapped_[i] && plant.config_.cable_snap_threshold[i] < kNeverSnaps;
-      watch_any = watch_any || watch[l][i];
-    }
-  }
-
-  // Phase 2 — the batched substep loop (the scalar while-loop, lane-wide).
-  const double h = plants_[0]->config_.substep;
-  double remaining = kControlPeriodSec;
-  while (remaining > 1e-12) {
-    const double dt = std::min(h, remaining);
-    model_.step_with_effects(x, tau_em, fx, locked.data(), dt, SolverKind::kRk4);
-
-    if (watch_any) {
-      BatchLanes3 tension;
-      model_.cable_force(x, tension);
-      watch_any = false;
-      for (std::size_t l = 0; l < n_; ++l) {
-        for (std::size_t i = 0; i < 3; ++i) {
-          if (watch[l][i] &&
-              std::abs(tension[i][l]) > plants_[l]->config_.cable_snap_threshold[i]) {
-            plants_[l]->snapped_[i] = true;
-            fx[l].cable_scale[i] = 0.0;
-            watch[l][i] = false;
-          }
-          watch_any = watch_any || watch[l][i];
-        }
+      period.extra_motor_torque[i][l] = su.fx.extra_motor_torque[i];
+      period.cable_scale[i][l] = su.fx.cable_scale[i];
+      period.extra_joint_force[i][l] = su.fx.extra_joint_force[i];
+      double threshold = std::numeric_limits<double>::infinity();
+      if (used && !plants_[l]->snapped_[i] &&
+          plants_[l]->config_.cable_snap_threshold[i] < kNeverSnaps) {
+        threshold = plants_[l]->config_.cable_snap_threshold[i];
       }
+      period.snap_threshold[i][l] = threshold;
     }
-    remaining -= dt;
+    period.shaft_held[l] = su.shaft_locked ? 1.0 : 0.0;
   }
+  model_.tau_em_from_currents(currents, period.tau_em);
 
-  // Phase 3 — scatter states back and run the per-lane wrist update.
+  // Phase 2 — the whole substep loop in one kernel call.
+  model_.step_period(x, period, plants_[0]->config_.substep, kControlPeriodSec);
+
+  // Phase 3 — scatter states and snaps back, then the per-lane wrist
+  // update.  A zero cable scale is an axis that was already snapped or
+  // snapped this period.
   for (std::size_t l = 0; l < n_; ++l) {
     plants_[l]->state_ = x.lane(l);
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (period.cable_scale[i][l] == 0.0) plants_[l]->snapped_[i] = true;
+    }
     plants_[l]->finish_period(setups[l]);
   }
 }

@@ -1,13 +1,15 @@
 // Lane-parallel plant stepping: up to kBatchLanes PhysicalRobots advanced
-// through the same control period with one batched SoA substep loop.
+// through the same control period by one batched kernel call.
 //
 // Each lane runs the *same* per-period logic as the scalar
-// PhysicalRobot::step_control_period — begin_period (brakes, noise,
-// tissue) and finish_period (wrist axes) stay per-plant scalar code; only
-// the 20-substep RK4 loop in the middle, which is ~all of the work, runs
-// through BatchRavenModel.  Because the batched solver is bit-identical
-// to the scalar one (see dynamics/batch_model.hpp), every lane's
-// trajectory matches what that plant would produce stepped alone.
+// PhysicalRobot::step_control_period.  begin_period (brake timing, drive
+// noise from the lane's own RNG, tissue reaction, shaft-lock velocity
+// zeroing) and finish_period (wrist axes) stay per-plant scalar code.
+// The middle — 20 RK4 substeps with the shaft-lock select and the cable
+// overload watch, ~all of the work — is one BatchRavenModel::step_period
+// call over inputs packed once per period (dynamics/batch_model.hpp).
+// Because that kernel is bit-identical to the scalar substep loop, every
+// lane's trajectory matches what that plant would produce stepped alone.
 #pragma once
 
 #include <array>

@@ -191,25 +191,24 @@ RG_THREAD(shard) void GatewayShard::apply_items(const ShardItem* items, std::siz
 }
 
 RG_THREAD(shard) void GatewayShard::run_rounds() {
-  std::vector<LocalSession*> ready;
-  std::vector<LocalSession*> chunk;
-  std::vector<std::pair<ItpBytes, std::uint64_t>> datagrams;
+  // The round buffers are members, cleared but never freed, so steady
+  // state rounds allocate nothing here.
   while (true) {
-    ready.clear();
+    ready_.clear();
     for (auto& [id, ls] : sessions_) {  // std::map: ascending id, deterministic
-      if (!ls->mailbox.empty()) ready.push_back(ls.get());
+      if (!ls->mailbox.empty()) ready_.push_back(ls.get());
     }
-    if (ready.empty()) break;
-    for (std::size_t base = 0; base < ready.size(); base += kBatchLanes) {
-      const std::size_t n = std::min(kBatchLanes, ready.size() - base);
-      chunk.assign(ready.begin() + static_cast<std::ptrdiff_t>(base),
-                   ready.begin() + static_cast<std::ptrdiff_t>(base + n));
-      datagrams.clear();
-      for (LocalSession* ls : chunk) {
-        datagrams.push_back(std::move(ls->mailbox.front()));
+    if (ready_.empty()) break;
+    for (std::size_t base = 0; base < ready_.size(); base += kBatchLanes) {
+      const std::size_t n = std::min(kBatchLanes, ready_.size() - base);
+      chunk_.assign(ready_.begin() + static_cast<std::ptrdiff_t>(base),
+                    ready_.begin() + static_cast<std::ptrdiff_t>(base + n));
+      datagrams_.clear();
+      for (LocalSession* ls : chunk_) {
+        datagrams_.push_back(std::move(ls->mailbox.front()));
         ls->mailbox.pop_front();
       }
-      round_tick(chunk, datagrams);
+      round_tick(chunk_, datagrams_);
     }
   }
 }

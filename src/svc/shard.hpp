@@ -201,6 +201,12 @@ class GatewayShard {
   std::map<std::uint32_t, ShardSessionStats> retired_ RG_GUARDED_BY(state_mutex_);
   std::uint64_t total_ticks_ RG_GUARDED_BY(state_mutex_) = 0;
 
+  /// run_rounds buffers: sessions with mail this round, the current
+  /// chunk of at most kBatchLanes, and the chunk's datagrams.
+  std::vector<LocalSession*> ready_ RG_GUARDED_BY(state_mutex_);
+  std::vector<LocalSession*> chunk_ RG_GUARDED_BY(state_mutex_);
+  std::vector<std::pair<ItpBytes, std::uint64_t>> datagrams_ RG_GUARDED_BY(state_mutex_);
+
   /// Batched twin of the sessions' estimator model (sessions share the
   /// estimator config, so one batch model serves every group).
   BatchRavenModel est_model_ RG_GUARDED_BY(state_mutex_);

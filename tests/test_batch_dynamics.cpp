@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -71,7 +72,7 @@ TEST(BatchDynamics, DerivativeBitIdenticalToScalar) {
       BatchLanes3 tau_em;
       batch.tau_em_from_currents(cur, tau_em);
       BatchState dx;
-      batch.derivative(x, tau_em, nullptr, nullptr, dx);
+      batch.derivative(x, tau_em, dx);
 
       for (std::size_t l = 0; l < kBatchLanes; ++l) {
         const State ref = scalar.derivative(states[l], currents[l]);
@@ -153,6 +154,45 @@ PlantConfig snapping_plant(std::uint64_t seed) {
   return config;
 }
 
+/// Deterministic per-lane drive profile: strong enough to hit the
+/// axis-0 snap threshold mid-run.
+PlantDrive snapping_drive(int period, std::size_t lane, bool brakes) {
+  const double phase = 0.013 * period + 0.4 * static_cast<double>(lane);
+  PlantDrive drive;
+  drive.currents = {6.0 * std::sin(phase), 3.0 * std::cos(phase), 1.5 * std::sin(2.0 * phase)};
+  drive.brakes_engaged = brakes;
+  drive.wrist_currents = {0.2 * std::sin(phase), 0.1, -0.05};
+  return drive;
+}
+
+/// One period: every scalar plant stepped alone, the batch stepped once.
+void step_both(std::vector<PhysicalRobot>& scalar_plants, BatchPlant& batch,
+               std::span<const PlantDrive> drives) {
+  for (std::size_t l = 0; l < drives.size(); ++l) {
+    scalar_plants[l].step_control_period(drives[l].currents, drives[l].brakes_engaged,
+                                         drives[l].wrist_currents);
+  }
+  batch.step_control_period(drives);
+}
+
+/// Every observable of a plant pair, compared bitwise.
+void expect_same_plant(const PhysicalRobot& scalar, const PhysicalRobot& batched,
+                       std::size_t lane) {
+  EXPECT_EQ(scalar.snapped_axes(), batched.snapped_axes()) << "lane " << lane;
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(scalar.motor_positions()[i], batched.motor_positions()[i])
+        << "lane " << lane << " axis " << i;
+    EXPECT_EQ(scalar.motor_velocities()[i], batched.motor_velocities()[i])
+        << "lane " << lane << " axis " << i;
+    EXPECT_EQ(scalar.joint_positions()[i], batched.joint_positions()[i])
+        << "lane " << lane << " axis " << i;
+    EXPECT_EQ(scalar.joint_velocities()[i], batched.joint_velocities()[i])
+        << "lane " << lane << " axis " << i;
+    EXPECT_EQ(scalar.wrist_positions()[i], batched.wrist_positions()[i])
+        << "lane " << lane << " axis " << i;
+  }
+}
+
 TEST(BatchPlant, LanesMatchScalarPlantsBitwise) {
   constexpr std::size_t kLanes = 5;
   std::vector<PhysicalRobot> scalar_plants;
@@ -167,41 +207,90 @@ TEST(BatchPlant, LanesMatchScalarPlantsBitwise) {
   ASSERT_EQ(batch.lanes(), kLanes);
 
   for (int period = 0; period < 400; ++period) {
+    // A braked window at the end.
     std::array<PlantDrive, kLanes> drives{};
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      // Deterministic per-lane drive profile: strong enough to hit the
-      // axis-0 snap threshold mid-run, with a braked window at the end.
-      const double phase = 0.013 * period + 0.4 * static_cast<double>(l);
-      drives[l].currents = {6.0 * std::sin(phase), 3.0 * std::cos(phase), 1.5 * std::sin(2.0 * phase)};
-      drives[l].brakes_engaged = period >= 320;
-      drives[l].wrist_currents = {0.2 * std::sin(phase), 0.1, -0.05};
-    }
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      scalar_plants[l].step_control_period(drives[l].currents, drives[l].brakes_engaged,
-                                           drives[l].wrist_currents);
-    }
-    batch.step_control_period(std::span<const PlantDrive>{drives.data(), kLanes});
+    for (std::size_t l = 0; l < kLanes; ++l) drives[l] = snapping_drive(period, l, period >= 320);
+    step_both(scalar_plants, batch, drives);
   }
 
   bool any_snapped = false;
   for (std::size_t l = 0; l < kLanes; ++l) {
-    EXPECT_EQ(scalar_plants[l].snapped_axes(), batch_plants[l].snapped_axes()) << "lane " << l;
+    expect_same_plant(scalar_plants[l], batch_plants[l], l);
     any_snapped = any_snapped || scalar_plants[l].cable_snapped();
-    for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(scalar_plants[l].motor_positions()[i], batch_plants[l].motor_positions()[i])
-          << "lane " << l << " axis " << i;
-      EXPECT_EQ(scalar_plants[l].motor_velocities()[i], batch_plants[l].motor_velocities()[i])
-          << "lane " << l << " axis " << i;
-      EXPECT_EQ(scalar_plants[l].joint_positions()[i], batch_plants[l].joint_positions()[i])
-          << "lane " << l << " axis " << i;
-      EXPECT_EQ(scalar_plants[l].joint_velocities()[i], batch_plants[l].joint_velocities()[i])
-          << "lane " << l << " axis " << i;
-      EXPECT_EQ(scalar_plants[l].wrist_positions()[i], batch_plants[l].wrist_positions()[i])
-          << "lane " << l << " axis " << i;
-    }
   }
   // The profile is tuned to snap at least one cable; keep the coverage
   // honest if the physics drifts.
+  EXPECT_TRUE(any_snapped);
+}
+
+TEST(BatchPlant, FullBatchWithMixedPerLaneStateMatchesScalarPlantsBitwise) {
+  // All eight lanes, with the kernel's per-lane inputs differing inside
+  // one period: brakes engage at staggered periods (free, coasting and
+  // held lanes share periods, and lanes release again), one lane presses
+  // on tissue (a non-zero joint force), and axis 1 never snaps
+  // (kNeverSnaps: unwatched) while axis 0 snaps under drive.
+  constexpr std::size_t kLanes = kBatchLanes;
+  constexpr std::size_t kTissueLane = 3;
+  std::vector<PhysicalRobot> scalar_plants;
+  std::vector<PhysicalRobot> batch_plants;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    PlantConfig config = snapping_plant(200 + l);
+    config.cable_snap_threshold[1] = kNeverSnaps;
+    scalar_plants.emplace_back(config);
+    batch_plants.emplace_back(config);
+  }
+  for (std::vector<PhysicalRobot>* plants : {&scalar_plants, &batch_plants}) {
+    PhysicalRobot& robot = (*plants)[kTissueLane];
+    TissueParams tissue;
+    tissue.surface_point = robot.end_effector() + Vec3{0.0, 0.0, 2e-3};  // tool embedded 2 mm
+    tissue.normal = Vec3{0.0, 0.0, 1.0};
+    robot.add_tissue(tissue);
+  }
+  std::array<PhysicalRobot*, kLanes> ptrs{};
+  for (std::size_t l = 0; l < kLanes; ++l) ptrs[l] = &batch_plants[l];
+  BatchPlant batch(std::span<PhysicalRobot* const>{ptrs.data(), kLanes});
+
+  // Periods lane l's brakes have been requested for (0 = released): 120
+  // periods from 40 + 20 l.  The shafts hold after brake_engage_delay (50
+  // periods), so well under 50 is coasting and well over is held.
+  const auto braked_for = [](int period, std::size_t lane) {
+    const int start = 40 + 20 * static_cast<int>(lane);
+    return period >= start && period < start + 120 ? period - start + 1 : 0;
+  };
+  bool mixed_period = false;
+  for (int period = 0; period < 360; ++period) {
+    std::array<PlantDrive, kLanes> drives{};
+    bool any_free = false;
+    bool any_coasting = false;
+    bool any_held = false;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const int braked = braked_for(period, l);
+      drives[l] = snapping_drive(period, l, braked > 0);
+      any_free = any_free || braked == 0;
+      any_coasting = any_coasting || (braked > 0 && braked < 40);
+      any_held = any_held || braked > 60;
+    }
+    mixed_period = mixed_period || (any_free && any_coasting && any_held);
+    step_both(scalar_plants, batch, drives);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      ASSERT_EQ(scalar_plants[l].joint_positions()[0], batch_plants[l].joint_positions()[0])
+          << "lane " << l << " diverged at period " << period;
+    }
+  }
+
+  bool any_snapped = false;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    expect_same_plant(scalar_plants[l], batch_plants[l], l);
+    EXPECT_FALSE(scalar_plants[l].snapped_axes()[1]) << "lane " << l;
+    any_snapped = any_snapped || scalar_plants[l].snapped_axes()[0];
+  }
+  ASSERT_NE(batch_plants[kTissueLane].tissue(), nullptr);
+  EXPECT_EQ(scalar_plants[kTissueLane].tissue()->max_depth(),
+            batch_plants[kTissueLane].tissue()->max_depth());
+  // Keep the coverage honest if the physics drifts: the run must mix
+  // brake states in one period, touch the tissue and snap a cable.
+  EXPECT_TRUE(mixed_period);
+  EXPECT_GT(scalar_plants[kTissueLane].tissue()->max_depth(), 0.0);
   EXPECT_TRUE(any_snapped);
 }
 

@@ -164,7 +164,10 @@ TEST(Lint, JsonReportZeroFillsEveryClassWhenEmpty) {
 class LintStaleDb : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = std::filesystem::path(::testing::TempDir()) / "rg_lint_staledb";
+    // One tree per test: ctest -j runs the cases as concurrent processes.
+    root_ = std::filesystem::path(::testing::TempDir()) /
+            (std::string("rg_lint_staledb_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(root_);
     std::filesystem::create_directories(root_ / "src");
     write(root_ / "src/a.cpp", "int a() { return 1; }\n");
